@@ -43,7 +43,7 @@ print(describe_pair(lifted))
 print("  left singularities: ", lifted.left.singularities)
 print("  right cyclic flag:", lifted.right.props.cyclic)
 
-print("\nall lifts with tuple length and sum at most 3:")
+print("\none lift per partition of 1, 2 and 3 (reordering the counts gives the same lift):")
 for record in enumerate_family(pair, 3):
     print(" ", describe_pair(record))
     print("    singularities:", record.left.singularities)

@@ -247,9 +247,14 @@ class AuditReport:
 
 def audit_self_intersection(degree: int, spec: ConstructionSpec) -> AuditReport:
     """Check d_new^2 - sum(drops of added singularities) = d^2."""
+    return _audit(degree, spec, added_singularities(degree, spec))
+
+
+def _audit(degree: int, spec: ConstructionSpec, added: SingularityMultiset) -> AuditReport:
+    # ``added`` must be added_singularities(degree, spec)
     d = degree
     d_new = degree_after(d, spec)
-    total_drop = sum(drop(t) for t in added_singularities(d, spec))
+    total_drop = sum(drop(t) for t in added)
     computed = d_new * d_new - total_drop
     residual = computed - d * d
     variant = None
@@ -279,14 +284,15 @@ def apply(curve: CurveDatum, spec: ConstructionSpec) -> CurveDatum:
     )
     props = propagate_properties(curve.props, n)
     props = props.merged(props_from_descriptor(group))
-    report = audit_self_intersection(curve.degree, spec)
+    added = added_singularities(curve.degree, spec)
+    report = _audit(curve.degree, spec, added)
     detail = f"{format_spec(spec)} N={n} degree {curve.degree}->{curve.degree * n} audit={report.verdict}"
     if report.variant_residual is not None:
         detail += f" residual={report.residual} variant_residual={report.variant_residual}"
     new = replace(
         curve,
         component_degrees=tuple(d * n for d in curve.component_degrees),
-        singularities=curve.singularities + added_singularities(curve.degree, spec),
+        singularities=curve.singularities + added,
         group=group,
         props=props,
     )

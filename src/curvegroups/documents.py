@@ -22,6 +22,7 @@ from .extensions import (
     GroupDescriptor,
     PropertyFlags,
     Tower,
+    _TRISTATE_FIELDS,
     format_descriptor,
     parse_descriptor,
 )
@@ -116,20 +117,7 @@ def group_from_json(data: dict) -> GroupDescriptor:
 
 
 def props_to_json(p: PropertyFlags) -> dict:
-    out: dict[str, Any] = {
-        name: getattr(p, name)
-        for name in (
-            "finite",
-            "abelian",
-            "cyclic",
-            "solvable",
-            "supersolvable",
-            "polycyclic",
-            "nilpotent",
-            "virtually_nilpotent",
-            "virtually_solvable",
-        )
-    }
+    out: dict[str, Any] = {name: getattr(p, name) for name in _TRISTATE_FIELDS}
     out["p_group"] = p.p_group
     out["nilpotency_class"] = list(p.nilpotency_class) if p.nilpotency_class else None
     return out

@@ -110,46 +110,34 @@ def lift_pair(pair: ZariskiPairRecord, spec: ConstructionSpec) -> ZariskiPairRec
     )
 
 
-def _tuples_with_bound(bound: int):
-    """All tuples of positive integers with length <= bound and sum <= bound,
-    ordered by (length, tuple)."""
-    out = []
+def _partitions_up_to(bound: int):
+    """Nondecreasing tuples of positive integers with sum <= ``bound`` (one
+    per partition of 1..bound), ordered by (length, tuple)."""
 
-    def extend(prefix, remaining):
-        for v in range(1, remaining + 1):
-            candidate = prefix + (v,)
-            out.append(candidate)
-            extend(candidate, remaining - v)
+    def extend(prefix, low, remaining, slots):
+        if slots == 0:
+            yield prefix
+            return
+        for v in range(low, remaining // slots + 1):
+            yield from extend(prefix + (v,), v, remaining - v, slots - 1)
 
-    extend((), bound)
-    out = [t for t in out if len(t) <= bound]
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    for length in range(1, bound + 1):
+        yield from extend((), 1, bound, length)
 
 
 def enumerate_family(pair: ZariskiPairRecord, bound: int) -> list[ZariskiPairRecord]:
-    """All one-step lifts by general-construction tuples with length and sum
-    bounded by ``bound``, deduplicated by resulting combinatorics, in
-    deterministic order."""
+    """All one-step lifts by general constructions, one record per partition
+    of 1..``bound`` (sum over s <= bound of p(s) records), in (length, tuple)
+    order of the nondecreasing count tuples.
+
+    The construction's singularities do not depend on the order of the
+    counts, so each partition stands for all of its permutations, and
+    distinct partitions give distinct combinatorics.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     _check_liftable(pair)
-    if bound == 0:
-        return []
-    records = []
-    seen = set()
-    for counts in _tuples_with_bound(bound):
-        record = lift_pair(pair, General(counts))
-        fingerprint = (
-            record.left.degree,
-            tuple(sorted(record.left.component_degrees)),
-            record.left.singularities,
-        )
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        records.append(record)
-    return records
+    return [lift_pair(pair, General(counts)) for counts in _partitions_up_to(bound)]
 
 
 def describe_pair(record: ZariskiPairRecord) -> str:

@@ -2,11 +2,16 @@
 
 These deliberately avoid the algorithms in the package: word reduction by
 repeated scanning, determinants by fraction-free elimination, invariant
-factors by gcds of minors.
+factors by gcds of minors, Zariski families by lifting along every
+composition and deduplicating, partition counts by Euler's pentagonal
+recurrence.
 """
 
 from itertools import combinations
 from math import gcd, prod
+
+from curvegroups.constructions import General
+from curvegroups.zariski import lift_pair
 
 
 def naive_reduce(letters):
@@ -76,3 +81,42 @@ def invariant_factors_by_minors(matrix):
 
 def finite_abelian_order(factors):
     return prod(factors)
+
+
+def family_by_compositions(pair, bound):
+    """Zariski family of ``pair``: lift by ``General(t)`` for every
+    composition t of 1..bound (2^bound - 1 lifts) in (length, tuple) order,
+    and keep the first record per combinatorics fingerprint."""
+    compositions = []
+
+    def extend(prefix, remaining):
+        for v in range(1, remaining + 1):
+            compositions.append(prefix + (v,))
+            extend(prefix + (v,), remaining - v)
+
+    extend((), bound)
+    compositions.sort(key=lambda t: (len(t), t))
+    records, seen = [], set()
+    for counts in compositions:
+        record = lift_pair(pair, General(counts))
+        left = record.left
+        fingerprint = (left.degree, tuple(sorted(left.component_degrees)), left.singularities)
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            records.append(record)
+    return records
+
+
+def partition_count(n):
+    """p(n) by Euler's pentagonal number recurrence."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            for pent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pent <= m:
+                    total += sign * p[m - pent]
+            k += 1
+        p.append(total)
+    return p[n]

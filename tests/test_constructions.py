@@ -305,3 +305,28 @@ def test_apply_records_audit_in_log():
     assert any("discrepancy" in entry.detail for entry in out.log)
     out2 = apply(seed_smooth(2), Uludag(1))
     assert any("audit=pass" in entry.detail for entry in out2.log)
+    # every schedule kind: the logged audit is the standalone audit, and the
+    # stored singularities are the audited multiset
+    specs = [
+        Uludag(1),
+        Uludag(3),
+        General((2,)),
+        General((1, 3, 2)),
+        Mixed((2, 1), (3,)),
+        Mixed((1, 2), (1, 1, 1)),
+        Special(1),
+        Special(3),
+    ]
+    for d in range(1, 7):
+        seed = seed_smooth(d)
+        for spec in specs:
+            out = apply(seed, spec)
+            report = audit_self_intersection(d, spec)
+            verdict = f" audit={report.verdict}"
+            if report.variant_residual is None:
+                assert out.log[-1].detail.endswith(verdict)
+            else:
+                assert out.log[-1].detail.endswith(
+                    f"{verdict} residual={report.residual} variant_residual={report.variant_residual}"
+                )
+            assert out.singularities == seed.singularities + added_singularities(d, spec)

@@ -1,9 +1,13 @@
+import json
+
 import pytest
+from oracles import family_by_compositions, partition_count
 
 from curvegroups.constructions import General, Uludag, kernel_order
 from curvegroups.curves import custom_seed, seed_generic_lines, seed_pencil, seed_smooth
 from curvegroups.extensions import Cyclic, FiniteTagged, PropertyFlags
-from curvegroups.singularities import SingularityType, multiset
+from curvegroups.documents import pair_to_json
+from curvegroups.singularities import SingularityType, multiset, parse_type
 from curvegroups.zariski import (
     DISTINGUISHER_CYCLIC,
     ZariskiPairRecord,
@@ -22,6 +26,16 @@ def sextic_pair():
     left = custom_seed((6,), sings, Cyclic(6))
     right = custom_seed(
         (6,), sings, FiniteTagged(12), asserted_props=PropertyFlags(abelian=False)
+    )
+    return seed_pair(left, right)
+
+
+def run_pair(degree):
+    """Seed pair of the given degree whose singularities include runs."""
+    sings = multiset(parse_type(t) for t in ("[2_3]", "[2]", "[3,2_2]"))
+    left = custom_seed((degree,), sings, Cyclic(degree))
+    right = custom_seed(
+        (degree,), sings, FiniteTagged(6 * degree), asserted_props=PropertyFlags(abelian=False)
     )
     return seed_pair(left, right)
 
@@ -174,3 +188,22 @@ def test_enumerate_family_kernel_orders():
     for record in enumerate_family(sextic_pair(), 3):
         n = kernel_order(record.parent_spec)
         assert record.left.group == Cyclic(6 * n)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_enumerate_family_matches_composition_oracle(degree):
+    pair = run_pair(degree)
+    for bound in range(10):
+        records = enumerate_family(pair, bound)
+        expected = family_by_compositions(pair, bound)
+        assert records == expected
+        rendered = [json.dumps(pair_to_json(r), sort_keys=True) for r in records]
+        assert rendered == [json.dumps(pair_to_json(r), sort_keys=True) for r in expected]
+
+
+@pytest.mark.parametrize("bound, count", [(12, 271), (16, 914)])
+def test_enumerate_family_one_record_per_partition(bound, count):
+    records = enumerate_family(run_pair(1), bound)
+    assert len(records) == count == sum(partition_count(s) for s in range(1, bound + 1))
+    assert len({r.parent_spec for r in records}) == count
+    assert all(list(r.parent_spec.counts) == sorted(r.parent_spec.counts) for r in records)
