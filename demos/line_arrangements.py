@@ -17,6 +17,7 @@ from curvegroups import (
     Tower,
     apply,
     central_extend,
+    format_spec,
     seed_generic_lines,
     seed_pencil,
 )
@@ -44,4 +45,5 @@ assert isinstance(bare, Tower)
 # Two lines are the degenerate member of both families, with group Z.
 two = seed_pencil(2)
 print("\ntwo lines:", two)
-print("after uludag(1):", apply(two, General((1,))).group, "(reducible, so not cyclic)")
+spec = General((1,))
+print(f"after {format_spec(spec)}:", apply(two, spec).group, "(reducible, so not cyclic)")

@@ -13,6 +13,7 @@ from .constructions import (
     ConstructionSpec,
     General,
     Mixed,
+    Schedule,
     Special,
     Uludag,
     added_singularities,

@@ -6,19 +6,17 @@ blows back down.  On the combinatorial side this multiplies every component
 degree by the kernel order N, adds a known multiset of singularities, and
 extends the fundamental group centrally by Z/N.
 
-Four schedules are supported (text forms in parentheses):
-
-* ``Uludag(n)`` (``uludag(n)``): all index-raising steps on one fiber and
-  all lowering steps on another; N = n + 1.
-* ``General(n1..nk)`` (``general(n1,..,nk)``): raising steps spread over k
-  fibers; N = sum(n) + 1.
-* ``Mixed(n1..nk; m1..ml)`` (``mixed(n1,..;m1,..)``): lowering steps also
-  spread over l fibers, sum(m) = sum(n); N = sum(n) + 1.
-* ``Special(n)`` (``special(n)``): both phases on a single fiber; N = n + 1.
+Every construction is one :class:`Schedule`: index-raising steps on fibers
+with counts n1..nk, then index-lowering steps on fibers with counts m1..ml,
+where sum(m) = sum(n) and N = sum(n) + 1.  Its text form names the layout:
+``uludag(n)`` raises on one fiber and lowers on another,
+``general(n1,..,nk)`` spreads the raising steps over k fibers,
+``mixed(n1,..,nk;m1,..,ml)`` spreads the lowering steps as well, and
+``special(n)`` runs both phases on a single fiber.
 
 :func:`audit_self_intersection` closes the degree formula against the
 singularity bookkeeping: the new squared degree minus all resolution drops
-must equal the old squared degree.  The Special schedule's recorded
+must equal the old squared degree.  The special schedule's recorded
 blow-down type fails this audit by exactly 3 n^2 d^2; the report also
 evaluates the accounting-consistent variant with head multiplicity n*d,
 which passes.  Both values are kept and nothing is decided.
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Union
 
 from .curves import CurveDatum
 from .extensions import (
@@ -44,71 +41,72 @@ from .singularities import (
     multiset,
 )
 
-
-@dataclass(frozen=True)
-class Uludag:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"transformation count must be >= 1, got {self.n}")
-
-    @property
-    def kernel_order(self) -> int:
-        return self.n + 1
+# text form -> message for counts below 1, in that form's own terms
+_FORMS = {
+    "uludag": "transformation count must be >= 1, got {0[0]}",
+    "general": "counts must be a nonempty tuple of integers >= 1, got {0}",
+    "mixed": "both count tuples must be nonempty with all entries >= 1",
+    "special": "transformation count must be >= 1, got {0[0]}",
+}
 
 
 @dataclass(frozen=True)
-class General:
-    counts: tuple[int, ...]
+class Schedule:
+    """A construction schedule.  The form is part of the value, so
+    ``uludag(3)``, ``general(3)`` and ``mixed(3;3)`` are unequal although
+    they add the same singularities.  Forms other than mixed lower on one
+    fiber: their ``lower_counts`` default to ``(sum(raise_counts),)``."""
 
-    def __post_init__(self):
-        counts = tuple(int(n) for n in self.counts)
-        if not counts or any(n < 1 for n in counts):
-            raise ValueError(f"counts must be a nonempty tuple of integers >= 1, got {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def kernel_order(self) -> int:
-        return sum(self.counts) + 1
-
-
-@dataclass(frozen=True)
-class Mixed:
+    form: str
     raise_counts: tuple[int, ...]
-    lower_counts: tuple[int, ...]
+    lower_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.raise_counts)
-        ms = tuple(int(m) for m in self.lower_counts)
-        if not ns or any(n < 1 for n in ns) or not ms or any(m < 1 for m in ms):
-            raise ValueError("both count tuples must be nonempty with all entries >= 1")
+        if self.form not in _FORMS:
+            raise ValueError(f"unknown construction {self.form!r}")
+        ns, ms = tuple(self.raise_counts), tuple(self.lower_counts)
+        for value in ns + ms:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"counts must be integers, got {value!r}")
+        if self.form != "mixed":
+            ms = ms or (sum(ns),)
+            if len(ms) != 1 or (self.form != "general" and len(ns) != 1):
+                raise ValueError(f"{self.form} cannot have raise counts {ns} and lower counts {ms}")
+        if not ns or not ms or min(ns + ms) < 1:
+            raise ValueError(_FORMS[self.form].format(ns))
         if sum(ns) != sum(ms):
             raise ValueError(
-                f"mixed construction requires sum of raise counts = sum of lower counts, got {sum(ns)} != {sum(ms)}"
+                f"{self.form} construction requires sum of raise counts = sum of lower counts, got {sum(ns)} != {sum(ms)}"
             )
         object.__setattr__(self, "raise_counts", ns)
         object.__setattr__(self, "lower_counts", ms)
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return self.raise_counts
 
     @property
     def kernel_order(self) -> int:
         return sum(self.raise_counts) + 1
 
 
-@dataclass(frozen=True)
-class Special:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"transformation count must be >= 1, got {self.n}")
-
-    @property
-    def kernel_order(self) -> int:
-        return self.n + 1
+ConstructionSpec = Schedule
 
 
-ConstructionSpec = Union[Uludag, General, Mixed, Special]
+def Uludag(n: int) -> Schedule:
+    return Schedule("uludag", (n,))
+
+
+def General(counts) -> Schedule:
+    return Schedule("general", counts)
+
+
+def Mixed(raise_counts, lower_counts) -> Schedule:
+    return Schedule("mixed", raise_counts, lower_counts)
+
+
+def Special(n: int) -> Schedule:
+    return Schedule("special", (n,))
 
 
 def kernel_order(spec: ConstructionSpec) -> int:
@@ -116,17 +114,10 @@ def kernel_order(spec: ConstructionSpec) -> int:
 
 
 def format_spec(spec: ConstructionSpec) -> str:
-    if isinstance(spec, Uludag):
-        return f"uludag({spec.n})"
-    if isinstance(spec, General):
-        return f"general({','.join(map(str, spec.counts))})"
-    if isinstance(spec, Mixed):
-        ns = ",".join(map(str, spec.raise_counts))
-        ms = ",".join(map(str, spec.lower_counts))
-        return f"mixed({ns};{ms})"
-    if isinstance(spec, Special):
-        return f"special({spec.n})"
-    raise TypeError(f"unknown construction spec {spec!r}")
+    text = ",".join(map(str, spec.raise_counts))
+    if spec.form == "mixed":
+        text += ";" + ",".join(map(str, spec.lower_counts))
+    return f"{spec.form}({text})"
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*\((.*)\)\s*$")
@@ -149,19 +140,15 @@ def parse_spec(text: str) -> ConstructionSpec:
     if m is None:
         raise ValueError(f"cannot parse construction spec {text!r}")
     name, args = m.group(1), m.group(2)
-    if name in ("uludag", "special"):
-        values = _int_list(args, text)
-        if len(values) != 1:
-            raise ValueError(f"{name} takes exactly one count, got {len(values)} in {text!r}")
-        return Uludag(values[0]) if name == "uludag" else Special(values[0])
-    if name == "general":
-        return General(_int_list(args, text))
-    if name == "mixed":
-        if ";" not in args:
-            raise ValueError(f"mixed spec needs ';' between raise and lower counts: {text!r}")
-        raw_ns, raw_ms = args.split(";", 1)
-        return Mixed(_int_list(raw_ns, text), _int_list(raw_ms, text))
-    raise ValueError(f"unknown construction {name!r} in {text!r}")
+    if name not in _FORMS:
+        raise ValueError(f"unknown construction {name!r} in {text!r}")
+    if name == "mixed" and ";" not in args:
+        raise ValueError(f"mixed spec needs ';' between raise and lower counts: {text!r}")
+    groups = args.split(";", 1) if name == "mixed" else [args]
+    counts = [_int_list(group, text) for group in groups]
+    if name in ("uludag", "special") and len(counts[0]) != 1:
+        raise ValueError(f"{name} takes exactly one count, got {len(counts[0])} in {text!r}")
+    return Schedule(name, *counts)
 
 
 def degree_after(degree: int, spec: ConstructionSpec) -> int:
@@ -176,10 +163,12 @@ def _mult_run(value: int, length: int) -> SingularityType:
     return SingularityType((value,) * length)
 
 
-def _blowdown(head: int, branch_mult: int, length: int) -> SingularityType:
+def _blowdown(head: int, clusters: list[SingularityType]) -> SingularityType:
     if head >= 2:
-        return blowdown_type(head, [_mult_run(branch_mult, length)])
-    return SingularityType((head,) + (branch_mult,) * length)
+        return blowdown_type(head, clusters)
+    # head 1 (degree 1 and a single step) is bookkeeping that blowdown_type
+    # refuses; there is exactly one cluster then
+    return SingularityType((head,) + clusters[0].entries)
 
 
 def special_blowdown_type(degree: int, n: int, recorded_head: bool = True) -> SingularityType:
@@ -187,37 +176,26 @@ def special_blowdown_type(degree: int, n: int, recorded_head: bool = True) -> Si
     gives the recorded head multiplicity 2*n*d; False gives the
     accounting-consistent variant head n*d."""
     head = (2 if recorded_head else 1) * n * degree
-    return _blowdown(head, degree, 2 * n)
+    return _blowdown(head, [_mult_run(degree, 2 * n)])
 
 
 def added_singularities(degree: int, spec: ConstructionSpec) -> SingularityMultiset:
-    """Singularities the construction adds to a curve of the given degree.
+    """Singularities the construction adds to a curve of the given degree:
+    a run ``[d_n]`` per raising fiber, and the lowering fibers' runs
+    ``[d_m]`` blown down under a point of multiplicity d*sum(n).  The special
+    schedule adds only its single-fiber blow-down.
 
     Degree 1 is permitted: the resulting multiplicity-1 entries are pure
     bookkeeping that keeps the self-intersection audit exact.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    d = degree
-    if isinstance(spec, Uludag):
-        spec = General((spec.n,))
-    if isinstance(spec, General):
-        total = sum(spec.counts)
-        types = [_mult_run(d, n) for n in spec.counts]
-        types.append(_blowdown(d * total, d, total))
-        return multiset(types)
-    if isinstance(spec, Mixed):
-        total = sum(spec.raise_counts)
-        types = [_mult_run(d, n) for n in spec.raise_counts]
-        if len(spec.lower_counts) == 1:
-            types.append(_blowdown(d * total, d, total))
-        else:
-            clusters = [_mult_run(d, m) for m in spec.lower_counts]
-            types.append(blowdown_type(d * total, clusters))
-        return multiset(types)
-    if isinstance(spec, Special):
-        return multiset([special_blowdown_type(d, spec.n, recorded_head=True)])
-    raise TypeError(f"unknown construction spec {spec!r}")
+    d, total = degree, sum(spec.raise_counts)
+    if spec.form == "special":
+        return multiset([special_blowdown_type(d, total, recorded_head=True)])
+    types = [_mult_run(d, n) for n in spec.raise_counts]
+    types.append(_blowdown(d * total, [_mult_run(d, m) for m in spec.lower_counts]))
+    return multiset(types)
 
 
 VERDICT_PASS = "pass"
@@ -229,7 +207,7 @@ class AuditReport:
     """Self-intersection closure check for one construction step.
 
     ``computed`` is the new squared degree minus the resolution drops of all
-    added singularities; it must equal ``expected`` = d^2.  For the Special
+    added singularities; it must equal ``expected`` = d^2.  For the special
     schedule ``variant_residual`` re-evaluates the audit with the
     accounting-consistent head multiplicity n*d.
     """
@@ -258,8 +236,8 @@ def _audit(degree: int, spec: ConstructionSpec, added: SingularityMultiset) -> A
     computed = d_new * d_new - total_drop
     residual = computed - d * d
     variant = None
-    if isinstance(spec, Special):
-        variant_drop = drop(special_blowdown_type(d, spec.n, recorded_head=False))
+    if spec.form == "special":
+        variant_drop = drop(special_blowdown_type(d, spec.raise_counts[0], recorded_head=False))
         variant = d_new * d_new - variant_drop - d * d
     return AuditReport(
         expected=d * d,

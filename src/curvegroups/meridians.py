@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .constructions import ConstructionSpec, General, Mixed, Special, Uludag
+from .constructions import ConstructionSpec
 from .fpgroup import Word, free_reduce, generator
 
 _LABEL_GENERATORS = (
@@ -104,23 +104,18 @@ def elem_second(state: MeridianState, fiber: str) -> MeridianState:
 
 def _schedule(spec: ConstructionSpec) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
     """Fiber labels and the (step type, fiber) sequence for a spec."""
-    if isinstance(spec, Uludag):
-        spec = General((spec.n,))
-    if isinstance(spec, General):
-        labels = ("P",) + tuple(f"Q{i}" for i in range(1, len(spec.counts) + 1))
-        steps = [("type1", f"Q{i}") for i, n in enumerate(spec.counts, 1) for _ in range(n)]
-        steps += [("type2", "P")] * sum(spec.counts)
-        return labels, tuple(steps)
-    if isinstance(spec, Mixed):
-        k, l = len(spec.raise_counts), len(spec.lower_counts)
-        labels = tuple(f"P{j}" for j in range(1, l + 1)) + tuple(f"Q{i}" for i in range(1, k + 1))
-        steps = [("type1", f"Q{i}") for i, n in enumerate(spec.raise_counts, 1) for _ in range(n)]
-        steps += [("type2", f"P{j}") for j, m in enumerate(spec.lower_counts, 1) for _ in range(m)]
-        return labels, tuple(steps)
-    if isinstance(spec, Special):
-        steps = [("type1", "L")] * spec.n + [("type2", "L")] * spec.n
-        return ("L",), tuple(steps)
-    raise TypeError(f"unknown construction spec {spec!r}")
+    if spec.form == "special":
+        raising = lowering = labels = ("L",)
+    else:
+        raising = tuple(f"Q{i}" for i in range(1, len(spec.raise_counts) + 1))
+        if spec.form == "mixed":
+            lowering = tuple(f"P{j}" for j in range(1, len(spec.lower_counts) + 1))
+        else:
+            lowering = ("P",)
+        labels = lowering + raising
+    steps = [("type1", q) for q, n in zip(raising, spec.raise_counts) for _ in range(n)]
+    steps += [("type2", p) for p, m in zip(lowering, spec.lower_counts) for _ in range(m)]
+    return labels, tuple(steps)
 
 
 def replay(spec: ConstructionSpec) -> MeridianState:

@@ -4,13 +4,15 @@ These deliberately avoid the algorithms in the package: word reduction by
 repeated scanning, determinants by fraction-free elimination, invariant
 factors by gcds of minors, Zariski families by lifting along every
 composition and deduplicating, partition counts by Euler's pentagonal
-recurrence.
+recurrence, and each construction's added singularities and Hirzebruch
+schedule by a separate rule per text form.
 """
 
 from itertools import combinations
 from math import gcd, prod
 
 from curvegroups.constructions import General
+from curvegroups.singularities import SingularityType, blowdown_type, multiset
 from curvegroups.zariski import lift_pair
 
 
@@ -120,3 +122,72 @@ def partition_count(n):
             k += 1
         p.append(total)
     return p[n]
+
+
+# ---------------------------------------------------------------------------
+# constructions, one rule per text form; the arguments are those of the
+# form's constructor: uludag(n), general(counts), mixed(ns, ms), special(n)
+
+
+def _run(value, length):
+    return SingularityType((value,) * length)
+
+
+def _plain_blowdown(head, branch_mult, length):
+    if head >= 2:
+        return blowdown_type(head, [_run(branch_mult, length)])
+    return SingularityType((head,) + (branch_mult,) * length)
+
+
+def special_blowdown(degree, n, recorded_head=True):
+    head = (2 if recorded_head else 1) * n * degree
+    return _plain_blowdown(head, degree, 2 * n)
+
+
+def _general_added(d, counts):
+    total = sum(counts)
+    types = [_run(d, n) for n in counts]
+    types.append(_plain_blowdown(d * total, d, total))
+    return multiset(types)
+
+
+def _mixed_added(d, ns, ms):
+    total = sum(ns)
+    types = [_run(d, n) for n in ns]
+    if len(ms) == 1:
+        types.append(_plain_blowdown(d * total, d, total))
+    else:
+        types.append(blowdown_type(d * total, [_run(d, m) for m in ms]))
+    return multiset(types)
+
+
+REFERENCE_ADDED = {
+    "uludag": lambda d, n: _general_added(d, (n,)),
+    "general": _general_added,
+    "mixed": _mixed_added,
+    "special": lambda d, n: multiset([special_blowdown(d, n)]),
+}
+
+
+def _general_schedule(counts):
+    labels = ("P",) + tuple(f"Q{i}" for i in range(1, len(counts) + 1))
+    steps = [("type1", f"Q{i}") for i, n in enumerate(counts, 1) for _ in range(n)]
+    steps += [("type2", "P")] * sum(counts)
+    return labels, tuple(steps)
+
+
+def _mixed_schedule(ns, ms):
+    labels = tuple(f"P{j}" for j in range(1, len(ms) + 1))
+    labels += tuple(f"Q{i}" for i in range(1, len(ns) + 1))
+    steps = [("type1", f"Q{i}") for i, n in enumerate(ns, 1) for _ in range(n)]
+    steps += [("type2", f"P{j}") for j, m in enumerate(ms, 1) for _ in range(m)]
+    return labels, tuple(steps)
+
+
+# form -> (fiber labels, (step type, fiber) sequence)
+REFERENCE_SCHEDULE = {
+    "uludag": lambda n: _general_schedule((n,)),
+    "general": _general_schedule,
+    "mixed": _mixed_schedule,
+    "special": lambda n: (("L",), (("type1", "L"),) * n + (("type2", "L"),) * n),
+}

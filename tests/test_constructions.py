@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+import oracles
 from curvegroups.constructions import (
     AuditReport,
     General,
     Mixed,
+    Schedule,
     Special,
     Uludag,
     VERDICT_DISCREPANCY,
@@ -21,7 +23,8 @@ from curvegroups.constructions import (
 )
 from curvegroups.curves import h1_from_degrees, seed_generic_lines, seed_pencil, seed_smooth
 from curvegroups.extensions import Cyclic, Free, FreeAbelian, Tower, direct_sum, order_of
-from curvegroups.singularities import SingularityType, blowdown_type, multiset, parse_type
+from curvegroups.meridians import elem_first, elem_second, init_state, replay
+from curvegroups.singularities import SingularityType, blowdown_type, drop, multiset, parse_type
 
 
 def small_general_tuples(max_k=3, max_n=4):
@@ -37,6 +40,23 @@ def balanced_mixed_specs(max_k=2, max_n=3):
                 for ms in itertools.product(range(1, max_n + 1), repeat=l):
                     if sum(ms) == total:
                         yield Mixed(ns, ms)
+
+
+CONSTRUCTORS = {"uludag": Uludag, "general": General, "mixed": Mixed, "special": Special}
+
+
+def schedule_grid(max_n=3):
+    """(form, constructor arguments) for every schedule with counts <= max_n,
+    up to three raising fibers, and mixed with one to three lowering fibers."""
+    tuples = [t for k in (1, 2, 3) for t in itertools.product(range(1, max_n + 1), repeat=k)]
+    for n in range(1, max_n + 1):
+        yield "uludag", (n,)
+        yield "special", (n,)
+    for ns in tuples:
+        yield "general", (ns,)
+        for ms in tuples:
+            if sum(ms) == sum(ns):
+                yield "mixed", (ns, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +84,45 @@ def test_counts_must_be_positive():
         Special(-1)
     with pytest.raises(ValueError):
         General(())
+    # counts must be ints: no silent truncation, digit splitting or floats
+    for make in (
+        lambda: Uludag(2.5),
+        lambda: Special(2.0),
+        lambda: General((1.9,)),
+        lambda: General("12"),
+        lambda: Mixed((1, 1), (2.0,)),
+        lambda: Uludag(True),
+        lambda: General((1, False)),
+        lambda: Mixed((True,), (1,)),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            make()
+
+
+def test_schedule_rejects_a_layout_its_form_cannot_have():
+    with pytest.raises(ValueError, match="unknown construction 'frob'"):
+        Schedule("frob", (1,))
+    with pytest.raises(ValueError, match="uludag"):
+        Schedule("uludag", (1, 2))
+    with pytest.raises(ValueError, match="general"):
+        Schedule("general", (1, 2), (1, 2))
+    with pytest.raises(ValueError, match="general construction requires sum"):
+        Schedule("general", (1, 2), (4,))
+    assert Schedule("general", (1, 2), (3,)) == General((1, 2))
+    assert Schedule("special", [2]) == Special(2)
 
 
 def test_spec_text_round_trip():
-    for spec in (Uludag(3), General((1, 2, 2)), Mixed((2, 1), (1, 1, 1)), Special(2)):
-        assert parse_spec(format_spec(spec)) == spec
+    for form, args in schedule_grid():
+        spec = CONSTRUCTORS[form](*args)
+        text = format_spec(spec)
+        assert text.startswith(form + "(")
+        assert parse_spec(text) == spec
+    assert format_spec(Mixed((3,), (3,))) == "mixed(3;3)"
+    assert format_spec(Mixed((2, 1), (3,))) == "mixed(2,1;3)"
+    assert format_spec(General((2, 1))) == "general(2,1)"
+    assert format_spec(Uludag(3)) == "uludag(3)"
+    assert format_spec(Special(2)) == "special(2)"
 
 
 def test_parse_spec_errors_name_the_offender():
@@ -139,15 +193,18 @@ def test_added_singularities_mixed_nested():
 
 
 def test_added_singularities_uludag_equals_general_singleton():
+    # equal singularities, but the text form keeps the specs apart
     for d in range(1, 5):
         for n in range(1, 5):
+            assert Uludag(n) != General((n,))
             assert added_singularities(d, Uludag(n)) == added_singularities(d, General((n,)))
 
 
 def test_added_singularities_mixed_with_one_lower_fiber_matches_general():
     for d in (1, 2, 3):
-        for ns in ((2,), (1, 2)):
+        for ns in ((2,), (1, 2), (3,)):
             total = sum(ns)
+            assert Mixed(ns, (total,)) != General(ns)
             assert added_singularities(d, Mixed(ns, (total,))) == added_singularities(
                 d, General(ns)
             )
@@ -158,6 +215,30 @@ def test_added_singularities_special_verbatim_head():
         [parse_type("[12,3,3,3,3]")]
     )
     assert special_blowdown_type(3, 2, recorded_head=False) == parse_type("[6,3,3,3,3]")
+
+
+def test_schedules_match_the_per_form_reference():
+    for form, args in schedule_grid():
+        spec = CONSTRUCTORS[form](*args)
+        labels, steps = oracles.REFERENCE_SCHEDULE[form](*args)
+        expected = init_state(labels)
+        for kind, fiber in steps:
+            expected = (elem_first if kind == "type1" else elem_second)(expected, fiber)
+        replayed = replay(spec)
+        assert replayed.labels() == labels
+        assert replayed.fibers == expected.fibers
+        assert replayed.trace == expected.trace
+        n = sum(kind == "type1" for kind, _ in steps)
+        for d in range(1, 7):
+            added = oracles.REFERENCE_ADDED[form](d, *args)
+            assert added_singularities(d, spec) == added
+            square = (d * (n + 1)) ** 2
+            report = audit_self_intersection(d, spec)
+            assert report.residual == square - sum(drop(t) for t in added) - d * d
+            variant = None
+            if form == "special":
+                variant = square - drop(oracles.special_blowdown(d, n, recorded_head=False)) - d * d
+            assert report.variant_residual == variant
 
 
 def test_added_singularities_degree_one_bookkeeping():

@@ -121,6 +121,19 @@ def test_run_schedule_mixed_keeps_lower_fiber_meridians():
     assert words["Q1"].letters == letters(*(block * 2 + ["a1"])).letters
 
 
+
+def test_mixed_with_one_lower_fiber_keeps_its_numbered_label():
+    mixed, general = replay(Mixed((2, 1), (3,))), replay(General((2, 1)))
+    assert mixed.labels() == ("P1", "Q1", "Q2")
+    assert general.labels() == ("P", "Q1", "Q2")
+    assert mixed.word("P1").letters == letters("b1").letters
+    assert general.word("P").letters == letters("b").letters
+    assert mixed.word("Q1").letters == letters(*(["b1", "a1", "a2"] * 2 + ["a1"])).letters
+    assert general.word("Q1").letters == expected_raised_word(2, 2, 1).letters
+    assert mixed.trace[-1] == "F1 type2 P1"
+    assert general.trace[-1] == "F1 type2 P"
+
+
 def test_replay_final_index_and_maximum():
     for counts in [(1,), (3,), (2, 1), (1, 1, 2)]:
         state = replay(General(counts))
