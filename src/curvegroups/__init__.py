@@ -34,7 +34,6 @@ from .curves import (
 )
 from .extensions import (
     Cyclic,
-    DirectSum,
     FiniteTagged,
     Free,
     FreeAbelian,
@@ -43,7 +42,6 @@ from .extensions import (
     SplitKind,
     SplitVerdict,
     Tower,
-    canonical,
     central_extend,
     direct_sum,
     format_descriptor,
@@ -52,6 +50,7 @@ from .extensions import (
     propagate_properties,
     props_from_descriptor,
     split_test,
+    summands,
 )
 from .fpgroup import (
     AbelianInvariants,

@@ -18,7 +18,6 @@ from .extensions import (
     GroupDescriptor,
     PropertyFlags,
     UNKNOWN_PROPS,
-    canonical,
     format_descriptor,
     props_from_descriptor,
 )
@@ -103,7 +102,7 @@ def seed_pencil(lines: int) -> CurveDatum:
     fundamental group of rank m-1."""
     if lines < 2:
         raise ValueError(f"a pencil needs >= 2 lines, got {lines}")
-    group = canonical(Free(lines - 1))
+    group = Free(lines - 1)
     datum = CurveDatum(
         component_degrees=(1,) * lines,
         singularities=multiset([SingularityType((lines,))]),
@@ -121,7 +120,7 @@ def seed_generic_lines(lines: int) -> CurveDatum:
         raise ValueError(f"need >= 2 lines, got {lines}")
     if lines == 2:
         return seed_pencil(2)
-    group = canonical(FreeAbelian(lines - 1))
+    group = FreeAbelian(lines - 1)
     nodes = [SingularityType((2,)) for _ in range(comb(lines, 2))]
     datum = CurveDatum(
         component_degrees=(1,) * lines,
@@ -145,7 +144,7 @@ def custom_seed(
     datum = CurveDatum(
         component_degrees=tuple(component_degrees),
         singularities=singularities,
-        group=canonical(group),
+        group=group,
         props=UNKNOWN_PROPS,
         family_tag=family_tag,
     )

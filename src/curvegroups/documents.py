@@ -15,7 +15,6 @@ from .constructions import AuditReport, format_spec, parse_spec
 from .curves import CurveDatum, LogEntry
 from .extensions import (
     Cyclic,
-    DirectSum,
     FiniteTagged,
     Free,
     FreeAbelian,
@@ -23,8 +22,10 @@ from .extensions import (
     PropertyFlags,
     Tower,
     _TRISTATE_FIELDS,
+    direct_sum,
     format_descriptor,
     parse_descriptor,
+    summands,
 )
 from .fpgroup import Presentation, Word
 from .meridians import MeridianState
@@ -61,24 +62,18 @@ def presentation_from_json(data: dict) -> Presentation:
 
 
 def _group_tree(g: GroupDescriptor) -> dict:
-    if isinstance(g, Cyclic):
-        return {"kind": "cyclic", "order": encode_int(g.order)}
-    if isinstance(g, Free):
-        return {"kind": "free", "rank": encode_int(g.rank)}
-    if isinstance(g, FreeAbelian):
-        return {"kind": "free-abelian", "rank": encode_int(g.rank)}
-    if isinstance(g, FiniteTagged):
-        pres = None if g.presentation is None else presentation_to_json(g.presentation)
-        return {"kind": "finite", "order": encode_int(g.order), "presentation": pres}
-    if isinstance(g, DirectSum):
-        return {"kind": "direct-sum", "parts": [_group_tree(p) for p in g.parts]}
-    if isinstance(g, Tower):
-        return {
-            "kind": "tower",
-            "base": _group_tree(g.base),
-            "kernels": [encode_int(n) for n in g.kernels],
-        }
-    raise TypeError(f"unknown descriptor {g!r}")
+    trees = []
+    # a loop, not a comprehension: one stack frame per level of tower nesting
+    for kind, value, extra in summands(g):
+        if kind == "tower":
+            base = _group_tree(value)
+            trees.append({"kind": kind, "base": base, "kernels": [encode_int(n) for n in extra]})
+        elif kind == "finite":
+            pres = None if extra is None else presentation_to_json(extra)
+            trees.append({"kind": kind, "order": encode_int(value), "presentation": pres})
+        else:
+            trees.append({"kind": kind, "order" if kind == "cyclic" else "rank": encode_int(value)})
+    return trees[0] if len(trees) == 1 else {"kind": "direct-sum", "parts": trees}
 
 
 def _group_from_tree(data: dict) -> GroupDescriptor:
@@ -96,7 +91,9 @@ def _group_from_tree(data: dict) -> GroupDescriptor:
             None if pres is None else presentation_from_json(pres),
         )
     if kind == "direct-sum":
-        return DirectSum(tuple(_group_from_tree(p) for p in data["parts"]))
+        if len(data["parts"]) < 2:
+            raise ValueError("a direct sum needs at least two parts")
+        return direct_sum(*(_group_from_tree(p) for p in data["parts"]))
     if kind == "tower":
         return Tower(
             _group_from_tree(data["base"]),
@@ -231,9 +228,12 @@ def render_document(curve: CurveDatum, reports: dict | None = None) -> str:
 
 
 def parse_document(text: str) -> tuple[CurveDatum, dict]:
-    data = json.loads(text)
-    if "schema_version" not in data:
-        raise ValueError("document is missing schema_version")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {data['schema_version']!r}")
-    return curve_from_json(data["curve"]), data.get("reports", {})
+    try:
+        data = json.loads(text)
+        if "schema_version" not in data:
+            raise ValueError("document is missing schema_version")
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {data['schema_version']!r}")
+        return curve_from_json(data["curve"]), data.get("reports", {})
+    except RecursionError:
+        raise ValueError("document is nested too deeply") from None

@@ -1,9 +1,22 @@
-"""Classified group descriptors and the central-extension step.
+"""Group descriptors and the central-extension step.
 
-A :class:`GroupDescriptor` records a fundamental group in one of a few
-recognized shapes (finite cyclic, free, free abelian, an opaque finite
-group, a direct sum of these) or, when no recognition rule applies, as an
-unresolved tower of central extensions over a recognized base.
+A :class:`GroupDescriptor` records the fundamental group of a curve
+complement as one canonical record: the ranks of its nonabelian free
+factors, its abelian part in invariant-factor form, opaque finite groups of
+known order, and unresolved towers of central extensions over a recognized
+base.  The constructors :func:`Cyclic`, :func:`Free`, :func:`FreeAbelian`,
+:func:`FiniteTagged`, :func:`Tower` and :func:`direct_sum` each return that
+canonical form, so isomorphic regroupings compare equal:
+
+>>> direct_sum(Cyclic(4), Cyclic(6)) == direct_sum(Cyclic(2), Cyclic(12))
+True
+
+:func:`summands` lists the parts in canonical order as ``(kind, value,
+extra)`` triples; the text form, the document tree, presentations, property
+flags and the central-extension rules all read that one view:
+
+>>> summands(parse_descriptor("Z/3 (+) F2 (+) Z/2 (+) Z"))
+[('free', 1, None), ('free', 2, None), ('cyclic', 6, None)]
 
 :func:`central_extend` applies the recognition rules for extending by a
 cyclic group of order N; :func:`split_test` decides split/non-split from
@@ -22,239 +35,154 @@ import re
 from .fpgroup import AbelianInvariants, Presentation, Word, commutator, generator
 
 
+@dataclass(frozen=True)
 class GroupDescriptor:
-    """Base class for recognized group forms."""
+    """F_k1 (+) ... (+) Z^r (+) Z/d1 (+) ... (+) finite parts (+) towers.
 
-    __slots__ = ()
+    Build it through the constructors, which keep it canonical: ``free``
+    holds the nonabelian free ranks (k >= 2) in ascending order,
+    ``abelian`` the invariant factors, ``finite`` (order, presentation or
+    None) pairs sorted by order, and ``towers`` (base, kernel orders
+    innermost first) pairs sorted by their text form.
+    """
+
+    free: tuple[int, ...] = ()
+    abelian: AbelianInvariants = AbelianInvariants(0)
+    finite: tuple[tuple[int, Presentation | None], ...] = ()
+    towers: tuple[tuple[GroupDescriptor, tuple[int, ...]], ...] = ()
 
     def __str__(self) -> str:
         return format_descriptor(self)
 
 
-@dataclass(frozen=True, eq=True)
-class Cyclic(GroupDescriptor):
+def Cyclic(order: int) -> GroupDescriptor:
     """Finite cyclic group Z/order; Cyclic(1) is the trivial group."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"cyclic order must be >= 1, got {self.order}")
+    if order < 1:
+        raise ValueError(f"cyclic order must be >= 1, got {order}")
+    return GroupDescriptor(abelian=AbelianInvariants(0, (order,) if order > 1 else ()))
 
 
-@dataclass(frozen=True, eq=True)
-class Free(GroupDescriptor):
+def Free(rank: int) -> GroupDescriptor:
     """Free group of the given rank; Free(1) is the canonical form of Z."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("free rank must be >= 0")
-
-
-@dataclass(frozen=True, eq=True)
-class FreeAbelian(GroupDescriptor):
-    """Free abelian group Z^rank; canonical only for rank >= 2."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("free abelian rank must be >= 0")
+    if rank < 0:
+        raise ValueError("free rank must be >= 0")
+    if rank < 2:
+        return GroupDescriptor(abelian=AbelianInvariants(rank))
+    return GroupDescriptor(free=(rank,))
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteTagged(GroupDescriptor):
+def FreeAbelian(rank: int) -> GroupDescriptor:
+    """Free abelian group Z^rank."""
+    if rank < 0:
+        raise ValueError("free abelian rank must be >= 0")
+    return GroupDescriptor(abelian=AbelianInvariants(rank))
+
+
+def FiniteTagged(order: int, presentation: Presentation | None = None) -> GroupDescriptor:
     """An otherwise-unclassified finite group of known order, optionally
     carrying a presentation."""
-
-    order: int
-    presentation: Presentation | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("finite group order must be >= 1")
+    if order < 1:
+        raise ValueError("finite group order must be >= 1")
+    return GroupDescriptor(finite=((order, presentation),))
 
 
-@dataclass(frozen=True, eq=True)
-class DirectSum(GroupDescriptor):
-    """Direct sum of descriptors.  Build through :func:`direct_sum`, which
-    flattens, merges, and sorts the parts into canonical form."""
-
-    parts: tuple[GroupDescriptor, ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("a direct sum needs at least two parts; use direct_sum()")
-
-
-@dataclass(frozen=True, eq=True)
-class Tower(GroupDescriptor):
+def Tower(base: GroupDescriptor, kernels: tuple[int, ...]) -> GroupDescriptor:
     """Unresolved iterated central extension of ``base`` by cyclic groups of
     the listed kernel orders, innermost first."""
-
-    base: GroupDescriptor
-    kernels: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.kernels:
-            raise ValueError("a tower needs at least one kernel order")
-        if any(n < 2 for n in self.kernels):
-            raise ValueError("tower kernel orders must all be >= 2")
+    if not kernels:
+        raise ValueError("a tower needs at least one kernel order")
+    if any(n < 2 for n in kernels):
+        raise ValueError("tower kernel orders must all be >= 2")
+    return GroupDescriptor(towers=((base, tuple(kernels)),))
 
 
-TRIVIAL_GROUP = Cyclic(1)
-
-
-def cyclic(order: int) -> Cyclic:
-    return Cyclic(order)
-
-
-def free(rank: int) -> GroupDescriptor:
-    return canonical(Free(rank))
-
-
-def free_abelian(rank: int) -> GroupDescriptor:
-    return canonical(FreeAbelian(rank))
-
-
-def _invariant_factor_chain(orders) -> tuple[int, ...]:
-    """Recombine cyclic orders into the ascending invariant-factor chain,
-    merging coprime factors (Z/a (+) Z/b = Z/ab when gcd(a,b) = 1)."""
-    exponents: dict[int, list[int]] = {}
-    for n in orders:
-        n = int(n)
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                exponents.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            exponents.setdefault(n, []).append(1)
-    chain: list[int] = []
-    for p, es in exponents.items():
-        es.sort(reverse=True)
-        for i, e in enumerate(es):
-            if i < len(chain):
-                chain[i] *= p**e
-            else:
-                chain.append(p**e)
-    return tuple(reversed(chain))
-
-
-def _sort_key(g: GroupDescriptor):
-    rank = {Free: 0, FreeAbelian: 1, FiniteTagged: 2, Tower: 3, Cyclic: 4}[type(g)]
-    if isinstance(g, (Free, FreeAbelian)):
-        num = g.rank
-    elif isinstance(g, (FiniteTagged, Cyclic)):
-        num = g.order
-    else:
-        num = 0
-    return (rank, num, format_descriptor(g))
-
-
-def canonical(g: GroupDescriptor) -> GroupDescriptor:
-    """Canonical form: trivial parts dropped, Z represented as Free(1),
-    cyclic parts in invariant-factor form, sums flattened and sorted."""
-    if isinstance(g, (Free, FreeAbelian)):
-        if g.rank == 0:
-            return TRIVIAL_GROUP
-        if g.rank == 1:
-            return Free(1)
-        return g
-    if isinstance(g, Tower):
-        return Tower(canonical(g.base), g.kernels)
-    if isinstance(g, DirectSum):
-        return direct_sum(*g.parts)
-    return g
+def _with_cyclic(chain: list[int], a: int) -> list[int]:
+    """Invariant factors of Z/a (+) Z/chain[0] (+) ..., folding a in from
+    the largest factor down by Z/a (+) Z/d = Z/gcd(a,d) (+) Z/lcm(a,d)."""
+    out = []
+    for d in reversed(chain):
+        g = gcd(a, d)
+        out.append(a // g * d)
+        a = g
+    if a > 1:
+        out.append(a)
+    return out[::-1]
 
 
 def direct_sum(*parts: GroupDescriptor) -> GroupDescriptor:
-    flat: list[GroupDescriptor] = []
+    """Merge the parts' fields into canonical form.  A bare Fin(1) is
+    dropped; cyclic factors combine without factoring any order."""
+    free: list[int] = []
+    rank = 0
+    torsion: list[int] = []
+    finite: list = []
+    towers: list = []
     for p in parts:
-        p = canonical(p)
-        if isinstance(p, DirectSum):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
+        free += p.free
+        rank += p.abelian.free_rank
+        for d in p.abelian.torsion:
+            torsion = _with_cyclic(torsion, d)
+        finite += [f for f in p.finite if f != (1, None)]
+        towers += p.towers
+    return GroupDescriptor(
+        tuple(sorted(free)),
+        AbelianInvariants(rank, tuple(torsion)),
+        tuple(sorted(finite, key=lambda f: f[0])),
+        tuple(sorted(towers, key=lambda t: format_descriptor(GroupDescriptor(towers=(t,))))),
+    )
 
-    abelian_rank = 0
-    free_parts: list[Free] = []
-    cyclic_orders: list[int] = []
-    rest: list[GroupDescriptor] = []
-    for p in flat:
-        if isinstance(p, Free) and p.rank == 1:
-            abelian_rank += 1
-        elif isinstance(p, FreeAbelian):
-            abelian_rank += p.rank
-        elif isinstance(p, Free):
-            free_parts.append(p)
-        elif isinstance(p, Cyclic):
-            if p.order > 1:
-                cyclic_orders.append(p.order)
-        elif isinstance(p, FiniteTagged) and p.order == 1 and p.presentation is None:
-            pass
-        else:
-            rest.append(p)
 
-    out: list[GroupDescriptor] = list(free_parts) + list(rest)
-    if abelian_rank == 1:
-        out.append(Free(1))
-    elif abelian_rank >= 2:
-        out.append(FreeAbelian(abelian_rank))
-    out.extend(Cyclic(d) for d in _invariant_factor_chain(cyclic_orders))
-
-    if not out:
-        return TRIVIAL_GROUP
-    if len(out) == 1:
-        return out[0]
-    return DirectSum(tuple(sorted(out, key=_sort_key)))
+def summands(g: GroupDescriptor) -> list[tuple]:
+    """The parts of ``g`` in canonical order, as ``(kind, value, extra)``:
+    ``("free", rank, None)`` (rank 1 is Z), ``("free-abelian", rank, None)``,
+    ``("finite", order, presentation)``, ``("tower", base, kernels)`` and
+    ``("cyclic", order, None)``.  The trivial group is one ``Z/1``."""
+    a = g.abelian
+    parts: list[tuple] = [("free", 1, None)] if a.free_rank == 1 else []
+    parts += [("free", k, None) for k in g.free]
+    if a.free_rank >= 2:
+        parts.append(("free-abelian", a.free_rank, None))
+    parts += [("finite", order, pres) for order, pres in g.finite]
+    parts += [("tower", base, kernels) for base, kernels in g.towers]
+    parts += [("cyclic", d, None) for d in a.torsion]
+    return parts or [("cyclic", 1, None)]
 
 
 def order_of(g: GroupDescriptor) -> int | None:
     """Group order when finite, else None."""
-    if isinstance(g, Cyclic):
-        return g.order
-    if isinstance(g, FiniteTagged):
-        return g.order
-    if isinstance(g, (Free, FreeAbelian)):
-        return 1 if g.rank == 0 else None
-    if isinstance(g, DirectSum):
-        orders = [order_of(p) for p in g.parts]
-        return None if any(o is None for o in orders) else prod(orders)
-    if isinstance(g, Tower):
-        base = order_of(g.base)
-        return None if base is None else base * prod(g.kernels)
-    raise TypeError(f"unknown descriptor {g!r}")
+    total = g.abelian.order
+    if g.free or total is None:
+        return None
+    for order, _ in g.finite:
+        total *= order
+    for base, kernels in g.towers:
+        base_order = order_of(base)
+        if base_order is None:
+            return None
+        total *= base_order * prod(kernels)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # canonical string form
 
+_ATOM_FORMS = {"cyclic": "Z/{}", "free": "F{}", "free-abelian": "Z^{}", "finite": "Fin({})"}
+
 
 def format_descriptor(g: GroupDescriptor) -> str:
     """Canonical text form, e.g. ``Z/6``, ``F2 (+) Z/3``, ``Z^4 (+) Z/5``,
-    ``Tower(Z/2; 2,3)``.  Inverse of :func:`parse_descriptor` on canonical
-    descriptors."""
-    if isinstance(g, Cyclic):
-        return f"Z/{g.order}"
-    if isinstance(g, Free):
-        return "Z" if g.rank == 1 else f"F{g.rank}"
-    if isinstance(g, FreeAbelian):
-        return "Z" if g.rank == 1 else f"Z^{g.rank}"
-    if isinstance(g, FiniteTagged):
-        return f"Fin({g.order})"
-    if isinstance(g, DirectSum):
-        return " (+) ".join(format_descriptor(p) for p in g.parts)
-    if isinstance(g, Tower):
-        kernels = ",".join(str(n) for n in g.kernels)
-        return f"Tower({format_descriptor(g.base)}; {kernels})"
-    raise TypeError(f"unknown descriptor {g!r}")
+    ``Tower(Z/2; 2,3)``.  Inverse of :func:`parse_descriptor`."""
+    texts = []
+    # a loop, not a comprehension: one stack frame per level of tower nesting
+    for kind, value, extra in summands(g):
+        if kind == "tower":
+            kernels = ",".join(str(n) for n in extra)
+            texts.append(f"Tower({format_descriptor(value)}; {kernels})")
+        elif kind == "free" and value == 1:
+            texts.append("Z")
+        else:
+            texts.append(_ATOM_FORMS[kind].format(value))
+    return " (+) ".join(texts)
 
 
 def _split_summands(text: str) -> list[str]:
@@ -282,9 +210,16 @@ def _split_summands(text: str) -> list[str]:
 
 def parse_descriptor(text: str) -> GroupDescriptor:
     """Parse the canonical text form back into a descriptor."""
+    try:
+        return _parse_descriptor(text)
+    except RecursionError:
+        raise ValueError("group descriptor is nested too deeply") from None
+
+
+def _parse_descriptor(text: str) -> GroupDescriptor:
     parts = _split_summands(text.strip())
     if len(parts) > 1:
-        return direct_sum(*(parse_descriptor(p) for p in parts))
+        return direct_sum(*(_parse_descriptor(p) for p in parts))
     atom = parts[0]
     if not atom:
         raise ValueError("empty group descriptor")
@@ -295,38 +230,42 @@ def parse_descriptor(text: str) -> GroupDescriptor:
         return Cyclic(int(m.group(1)))
     m = re.fullmatch(r"Z\^(\d+)", atom)
     if m:
-        return canonical(FreeAbelian(int(m.group(1))))
+        return FreeAbelian(int(m.group(1)))
     m = re.fullmatch(r"F(\d+)", atom)
     if m:
-        return canonical(Free(int(m.group(1))))
+        return Free(int(m.group(1)))
     m = re.fullmatch(r"Fin\((\d+)\)", atom)
     if m:
         return FiniteTagged(int(m.group(1)))
     m = re.fullmatch(r"Tower\((.+);\s*([\d,\s]+)\)", atom, re.DOTALL)
     if m:
-        base = parse_descriptor(m.group(1))
+        base = _parse_descriptor(m.group(1))
         kernels = tuple(int(s) for s in m.group(2).split(",") if s.strip())
         return Tower(base, kernels)
     raise ValueError(f"cannot parse group descriptor {atom!r}")
 
 
 def to_presentation(g: GroupDescriptor) -> Presentation | None:
-    """A presentation for fully recognized descriptors; None otherwise."""
-    if isinstance(g, Cyclic):
-        return Presentation(("x",), (Word.parse(f"x^{g.order}"),))
-    if isinstance(g, Free):
-        return Presentation(tuple(f"x{i}" for i in range(1, g.rank + 1)))
-    if isinstance(g, FreeAbelian):
-        names = tuple(f"x{i}" for i in range(1, g.rank + 1))
-        rels = tuple(
-            commutator(generator(a), generator(b))
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-        )
-        return Presentation(names, rels)
-    if isinstance(g, FiniteTagged):
-        return g.presentation
-    return None
+    """A presentation for a single recognized summand; None otherwise."""
+    parts = summands(g)
+    if len(parts) != 1:
+        return None
+    kind, value, extra = parts[0]
+    if kind == "cyclic":
+        return Presentation(("x",), (Word.parse(f"x^{value}"),))
+    if kind == "finite":
+        return extra
+    if kind == "tower":
+        return None
+    names = tuple(f"x{i}" for i in range(1, value + 1))
+    if kind == "free":
+        return Presentation(names)
+    rels = tuple(
+        commutator(generator(a), generator(b))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    )
+    return Presentation(names, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -492,78 +431,54 @@ _ALL_TRUE = PropertyFlags(
 
 def props_from_descriptor(g: GroupDescriptor) -> PropertyFlags:
     """Sound property flags derivable from the descriptor shape alone."""
-    g = canonical(g)
-    if isinstance(g, Cyclic):
-        if g.order == 1:
-            return _ALL_TRUE
-        return PropertyFlags(
-            finite=True,
-            cyclic=True,
-            supersolvable=True,
-            p_group=_prime_power(g.order),
-            nilpotency_class=(1, 1),
-            virtually_nilpotent=True,
-        )
-    if isinstance(g, Free):
-        if g.rank == 1:
-            return PropertyFlags(
-                finite=False, cyclic=True, supersolvable=True, nilpotency_class=(1, 1)
+    parts = summands(g)
+    part_props = []
+    # a loop, not a comprehension: one stack frame per level of tower nesting
+    for kind, value, extra in parts:
+        if kind == "tower":
+            flags = props_from_descriptor(value)
+            for n in extra:
+                flags = propagate_properties(flags, n)
+        elif kind in ("cyclic", "finite") and value == 1:
+            flags = _ALL_TRUE
+        elif kind == "cyclic":
+            flags = PropertyFlags(
+                finite=True,
+                cyclic=True,
+                supersolvable=True,
+                p_group=_prime_power(value),
+                nilpotency_class=(1, 1),
+                virtually_nilpotent=True,
             )
-        return PropertyFlags(finite=False, virtually_solvable=False)
-    if isinstance(g, FreeAbelian):
-        return PropertyFlags(
-            finite=False,
-            abelian=True,
-            cyclic=False,
-            supersolvable=True,
-            nilpotency_class=(1, 1),
-        )
-    if isinstance(g, FiniteTagged):
-        if g.order == 1:
-            return _ALL_TRUE
-        p = _prime_power(g.order)
-        kw: dict = {"finite": True, "p_group": p}
-        if g.order >= 2 and _is_prime(g.order):
-            kw.update(cyclic=True, supersolvable=True, nilpotency_class=(1, 1))
-        return PropertyFlags(**kw)
-    if isinstance(g, DirectSum):
-        part_props = [props_from_descriptor(p) for p in g.parts]
-        recognized = all(isinstance(p, (Cyclic, Free, FreeAbelian)) for p in g.parts)
-        primes = {p.p_group for p in part_props}
-        classes = [p.nilpotency_class for p in part_props]
-        cls = None
-        if all(c is not None for c in classes):
-            cls = (max(c[0] for c in classes), max(c[1] for c in classes))
-        return PropertyFlags(
-            finite=_tri_all(p.finite for p in part_props),
-            abelian=_tri_all(p.abelian for p in part_props),
-            cyclic=False if recognized else None,
-            solvable=_tri_all(p.solvable for p in part_props),
-            supersolvable=_tri_all(p.supersolvable for p in part_props),
-            polycyclic=_tri_all(p.polycyclic for p in part_props),
-            nilpotent=_tri_all(p.nilpotent for p in part_props),
-            virtually_nilpotent=_tri_all(p.virtually_nilpotent for p in part_props),
-            virtually_solvable=_tri_all(p.virtually_solvable for p in part_props),
-            p_group=primes.pop() if len(primes) == 1 else None,
-            nilpotency_class=cls,
-        )
-    if isinstance(g, Tower):
-        flags = props_from_descriptor(g.base)
-        for n in g.kernels:
-            flags = propagate_properties(flags, n)
-        return flags
-    raise TypeError(f"unknown descriptor {g!r}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+        elif kind == "finite":
+            kw: dict = {"finite": True, "p_group": _prime_power(value)}
+            if kw["p_group"] == value:  # prime order, hence cyclic
+                kw.update(cyclic=True, supersolvable=True, nilpotency_class=(1, 1))
+            flags = PropertyFlags(**kw)
+        elif kind == "free" and value == 1:
+            flags = PropertyFlags(finite=False, cyclic=True, supersolvable=True, nilpotency_class=(1, 1))
+        elif kind == "free":
+            flags = PropertyFlags(finite=False, virtually_solvable=False)
+        else:
+            flags = PropertyFlags(
+                finite=False,
+                abelian=True,
+                cyclic=False,
+                supersolvable=True,
+                nilpotency_class=(1, 1),
+            )
+        part_props.append(flags)
+    if len(part_props) == 1:
+        return part_props[0]
+    recognized = all(kind in ("cyclic", "free", "free-abelian") for kind, _, _ in parts)
+    primes = {p.p_group for p in part_props}
+    classes = [p.nilpotency_class for p in part_props]
+    cls = None
+    if all(c is not None for c in classes):
+        cls = (max(c[0] for c in classes), max(c[1] for c in classes))
+    kw = {name: _tri_all(getattr(p, name) for p in part_props) for name in _TRISTATE_FIELDS}
+    kw["cyclic"] = False if recognized else None
+    return PropertyFlags(**kw, p_group=primes.pop() if len(primes) == 1 else None, nilpotency_class=cls)
 
 
 def propagate_properties(p: PropertyFlags, kernel_order: int) -> PropertyFlags:
@@ -624,19 +539,19 @@ def central_extend(
     """
     if kernel_order < 2:
         raise ValueError("kernel order must be >= 2 (1 is the identity extension)")
-    g = canonical(g)
     n = kernel_order
-    if isinstance(g, Cyclic) and irreducible:
-        return Cyclic(g.order * n)
-    if isinstance(g, Free):
-        return direct_sum(g, Cyclic(n))
-    if isinstance(g, FreeAbelian) and family_tag == "generic-lines":
+    parts = summands(g)
+    kind, value, extra = parts[0]
+    single = len(parts) == 1
+    if single and kind == "cyclic" and irreducible:
+        return Cyclic(value * n)
+    if single and (kind == "free" or (kind == "free-abelian" and family_tag == "generic-lines")):
         return direct_sum(g, Cyclic(n))
     q = order_of(g)
     if q is not None and gcd(q, n) == 1:
         return direct_sum(g, Cyclic(n))
-    if isinstance(g, Tower):
-        return Tower(g.base, g.kernels + (n,))
+    if single and kind == "tower":
+        return Tower(value, extra + (n,))
     return Tower(g, (n,))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constructions import ConstructionSpec, General, apply, format_spec
 from .curves import CurveDatum
-from .extensions import Cyclic, PropertyFlags, props_from_descriptor
+from .extensions import GroupDescriptor, PropertyFlags, props_from_descriptor, summands
 
 DISTINGUISHER_CYCLIC = "cyclic-vs-noncyclic"
 DISTINGUISHER_NONE = "none"
@@ -69,6 +69,10 @@ def certified_noncyclic(curve: CurveDatum) -> bool:
     return derived.cyclic is False
 
 
+def _finite_cyclic(g: GroupDescriptor) -> bool:
+    return [kind for kind, _, _ in summands(g)] == ["cyclic"]
+
+
 def _check_liftable(pair: ZariskiPairRecord) -> None:
     if not pair.combinatorics_equal:
         raise ValueError("lift requires equal combinatorics on the seed pair")
@@ -76,7 +80,7 @@ def _check_liftable(pair: ZariskiPairRecord) -> None:
         raise ValueError("lift requires an irreducible left curve")
     if not pair.right.irreducible:
         raise ValueError("lift requires an irreducible right curve")
-    if not isinstance(pair.left.group, Cyclic):
+    if not _finite_cyclic(pair.left.group):
         raise ValueError("lift requires a finite cyclic group on the left curve")
     if not certified_noncyclic(pair.right):
         raise ValueError("lift requires a certified non-cyclic group on the right curve")
@@ -98,7 +102,7 @@ def lift_pair(pair: ZariskiPairRecord, spec: ConstructionSpec) -> ZariskiPairRec
     )
     if not combinatorics_equal(left, right):
         raise AssertionError("lift produced unequal combinatorics")
-    if not isinstance(left.group, Cyclic):
+    if not _finite_cyclic(left.group):
         raise AssertionError("lift of a cyclic irreducible curve must stay cyclic")
     return ZariskiPairRecord(
         left=left,

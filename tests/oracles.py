@@ -4,14 +4,19 @@ These deliberately avoid the algorithms in the package: word reduction by
 repeated scanning, determinants by fraction-free elimination, invariant
 factors by gcds of minors, Zariski families by lifting along every
 composition and deduplicating, partition counts by Euler's pentagonal
-recurrence, and each construction's added singularities and Hirzebruch
-schedule by a separate rule per text form.
+recurrence, each construction's added singularities and Hirzebruch
+schedule by a separate rule per text form, and group descriptors by one
+class per shape with cyclic parts merged through prime factorisation.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from curvegroups.constructions import General
+from curvegroups.documents import encode_int, presentation_to_json
+from curvegroups.extensions import PropertyFlags, propagate_properties
+from curvegroups.fpgroup import Presentation, Word, commutator, generator
 from curvegroups.singularities import SingularityType, blowdown_type, multiset
 from curvegroups.zariski import lift_pair
 
@@ -191,3 +196,267 @@ REFERENCE_SCHEDULE = {
     "mixed": _mixed_schedule,
     "special": lambda n: (("L",), (("type1", "L"),) * n + (("type2", "L"),) * n),
 }
+
+
+# ---------------------------------------------------------------------------
+# Reference group descriptors: one class per shape and an isinstance
+# dispatch per operation, with cyclic parts merged by factoring every order
+# into prime powers.  The library's single canonical record must agree with
+# this on text, tree, order, flags, presentations and central extensions.
+
+
+@dataclass(frozen=True)
+class Cyclic:
+    order: int
+
+
+@dataclass(frozen=True)
+class Free:
+    rank: int
+
+
+@dataclass(frozen=True)
+class FreeAbelian:
+    rank: int
+
+
+@dataclass(frozen=True)
+class FiniteTagged:
+    order: int
+    presentation: Presentation | None = None
+
+
+@dataclass(frozen=True)
+class DirectSum:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Tower:
+    base: object
+    kernels: tuple
+
+
+def _invariant_factor_chain(orders):
+    exponents = {}
+    for n in orders:
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                exponents.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            exponents.setdefault(n, []).append(1)
+    chain = []
+    for p, es in exponents.items():
+        es.sort(reverse=True)
+        for i, e in enumerate(es):
+            if i < len(chain):
+                chain[i] *= p**e
+            else:
+                chain.append(p**e)
+    return tuple(reversed(chain))
+
+
+def _sort_key(g):
+    rank = {Free: 0, FreeAbelian: 1, FiniteTagged: 2, Tower: 3, Cyclic: 4}[type(g)]
+    if isinstance(g, (Free, FreeAbelian)):
+        num = g.rank
+    elif isinstance(g, (FiniteTagged, Cyclic)):
+        num = g.order
+    else:
+        num = 0
+    return (rank, num, ref_format(g))
+
+
+def ref_canonical(g):
+    if isinstance(g, (Free, FreeAbelian)):
+        if g.rank == 0:
+            return Cyclic(1)
+        if g.rank == 1:
+            return Free(1)
+        return g
+    if isinstance(g, Tower):
+        return Tower(ref_canonical(g.base), g.kernels)
+    if isinstance(g, DirectSum):
+        return ref_direct_sum(*g.parts)
+    return g
+
+
+def ref_direct_sum(*parts):
+    flat = []
+    for p in parts:
+        p = ref_canonical(p)
+        flat.extend(p.parts if isinstance(p, DirectSum) else [p])
+    abelian_rank = 0
+    out = []
+    cyclic_orders = []
+    for p in flat:
+        if isinstance(p, Free) and p.rank == 1:
+            abelian_rank += 1
+        elif isinstance(p, FreeAbelian):
+            abelian_rank += p.rank
+        elif isinstance(p, Cyclic):
+            if p.order > 1:
+                cyclic_orders.append(p.order)
+        elif not (isinstance(p, FiniteTagged) and p.order == 1 and p.presentation is None):
+            out.append(p)
+    if abelian_rank == 1:
+        out.append(Free(1))
+    elif abelian_rank >= 2:
+        out.append(FreeAbelian(abelian_rank))
+    out.extend(Cyclic(d) for d in _invariant_factor_chain(cyclic_orders))
+    if not out:
+        return Cyclic(1)
+    if len(out) == 1:
+        return out[0]
+    return DirectSum(tuple(sorted(out, key=_sort_key)))
+
+
+def ref_order(g):
+    if isinstance(g, (Cyclic, FiniteTagged)):
+        return g.order
+    if isinstance(g, (Free, FreeAbelian)):
+        return 1 if g.rank == 0 else None
+    if isinstance(g, DirectSum):
+        orders = [ref_order(p) for p in g.parts]
+        return None if None in orders else prod(orders)
+    base = ref_order(g.base)
+    return None if base is None else base * prod(g.kernels)
+
+
+def ref_format(g):
+    if isinstance(g, Cyclic):
+        return f"Z/{g.order}"
+    if isinstance(g, Free):
+        return "Z" if g.rank == 1 else f"F{g.rank}"
+    if isinstance(g, FreeAbelian):
+        return "Z" if g.rank == 1 else f"Z^{g.rank}"
+    if isinstance(g, FiniteTagged):
+        return f"Fin({g.order})"
+    if isinstance(g, DirectSum):
+        return " (+) ".join(ref_format(p) for p in g.parts)
+    return f"Tower({ref_format(g.base)}; {','.join(str(n) for n in g.kernels)})"
+
+
+def ref_tree(g):
+    """The document tree, as ``documents.group_to_json`` wrote it."""
+    if isinstance(g, Cyclic):
+        return {"kind": "cyclic", "order": encode_int(g.order)}
+    if isinstance(g, Free):
+        return {"kind": "free", "rank": encode_int(g.rank)}
+    if isinstance(g, FreeAbelian):
+        return {"kind": "free-abelian", "rank": encode_int(g.rank)}
+    if isinstance(g, FiniteTagged):
+        pres = None if g.presentation is None else presentation_to_json(g.presentation)
+        return {"kind": "finite", "order": encode_int(g.order), "presentation": pres}
+    if isinstance(g, DirectSum):
+        return {"kind": "direct-sum", "parts": [ref_tree(p) for p in g.parts]}
+    return {"kind": "tower", "base": ref_tree(g.base), "kernels": [encode_int(n) for n in g.kernels]}
+
+
+def ref_presentation(g):
+    if isinstance(g, Cyclic):
+        return Presentation(("x",), (Word.parse(f"x^{g.order}"),))
+    if isinstance(g, (Free, FreeAbelian)):
+        names = tuple(f"x{i}" for i in range(1, g.rank + 1))
+        if isinstance(g, Free):
+            return Presentation(names)
+        return Presentation(
+            names,
+            tuple(commutator(generator(a), generator(b)) for i, a in enumerate(names) for b in names[i + 1 :]),
+        )
+    if isinstance(g, FiniteTagged):
+        return g.presentation
+    return None
+
+
+def _trial_prime_power(n):
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+        p += 1
+    return n
+
+
+def _trial_is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+def _tri_all(values):
+    values = list(values)
+    if False in values:
+        return False
+    return None if None in values else True
+
+
+_ALL_TRUE = PropertyFlags(finite=True, cyclic=True, nilpotency_class=(0, 0))
+
+
+def ref_props(g):
+    g = ref_canonical(g)
+    if isinstance(g, Cyclic):
+        if g.order == 1:
+            return _ALL_TRUE
+        return PropertyFlags(
+            finite=True,
+            cyclic=True,
+            p_group=_trial_prime_power(g.order),
+            nilpotency_class=(1, 1),
+        )
+    if isinstance(g, Free):
+        if g.rank == 1:
+            return PropertyFlags(finite=False, cyclic=True, nilpotency_class=(1, 1))
+        return PropertyFlags(finite=False, virtually_solvable=False)
+    if isinstance(g, FreeAbelian):
+        return PropertyFlags(finite=False, abelian=True, cyclic=False, supersolvable=True, nilpotency_class=(1, 1))
+    if isinstance(g, FiniteTagged):
+        if g.order == 1:
+            return _ALL_TRUE
+        kw = {"finite": True, "p_group": _trial_prime_power(g.order)}
+        if _trial_is_prime(g.order):
+            kw.update(cyclic=True, nilpotency_class=(1, 1))
+        return PropertyFlags(**kw)
+    if isinstance(g, DirectSum):
+        props = [ref_props(p) for p in g.parts]
+        recognized = all(isinstance(p, (Cyclic, Free, FreeAbelian)) for p in g.parts)
+        primes = {p.p_group for p in props}
+        classes = [p.nilpotency_class for p in props]
+        cls = None
+        if None not in classes:
+            cls = (max(c[0] for c in classes), max(c[1] for c in classes))
+        names = ("finite", "abelian", "solvable", "supersolvable", "polycyclic", "nilpotent",
+                 "virtually_nilpotent", "virtually_solvable")
+        return PropertyFlags(
+            cyclic=False if recognized else None,
+            p_group=primes.pop() if len(primes) == 1 else None,
+            nilpotency_class=cls,
+            **{name: _tri_all(getattr(p, name) for p in props) for name in names},
+        )
+    flags = ref_props(g.base)
+    for n in g.kernels:
+        flags = propagate_properties(flags, n)
+    return flags
+
+
+def ref_central_extend(g, n, *, irreducible=False, family_tag=None):
+    g = ref_canonical(g)
+    if isinstance(g, Cyclic) and irreducible:
+        return Cyclic(g.order * n)
+    if isinstance(g, Free) or (isinstance(g, FreeAbelian) and family_tag == "generic-lines"):
+        return ref_direct_sum(g, Cyclic(n))
+    q = ref_order(g)
+    if q is not None and gcd(q, n) == 1:
+        return ref_direct_sum(g, Cyclic(n))
+    if isinstance(g, Tower):
+        return Tower(g.base, g.kernels + (n,))
+    return Tower(g, (n,))

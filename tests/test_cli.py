@@ -1,5 +1,8 @@
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from curvegroups.cli import main
 from curvegroups.documents import parse_document
@@ -221,3 +224,55 @@ def test_cli_output_documents_reparse(tmp_path, capsys):
     assert code == 0
     curve2, _ = parse_document(text_again)
     assert curve2.degree == curve.degree * 3
+
+
+def test_zariski_reads_a_direct_sum_tree_in_canonical_form(tmp_path, capsys):
+    left, right = make_pair_docs(tmp_path, capsys)
+    doc = json.loads(left.read_text())
+    doc["curve"]["group"] = {
+        "form": "Z/2 (+) Z/3",
+        "tree": {"kind": "direct-sum", "parts": [{"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}]},
+    }
+    left.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "zariski", "--left", str(left), "--right", str(right), "--spec", "uludag(1)"
+    )
+    assert code == 0, err
+    assert json.loads(out)["left"]["group"]["form"] == "Z/12"
+
+
+def nested_towers(depth):
+    return "Tower(" * depth + "Z/2" + "; 2)" * depth
+
+
+def test_deeply_nested_group_is_a_named_error(capsys):
+    code, out, err = run_cli(capsys, "seed", "custom", "--degrees", "6", "--group", nested_towers(1500))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
+    doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])
+    tree = '{"kind": "tower", "base": ' * 1500 + '{"kind": "cyclic", "order": 2}' + ', "kernels": [2]}' * 1500
+    text = json.dumps(doc).replace(json.dumps(doc["curve"]["group"]["tree"]), tree)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "apply", "uludag(1)", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad document: ") and err.count("\n") == 1
+
+
+def test_group_nested_950_deep_round_trips(tmp_path):
+    # a fresh process: the test runner's own stack would eat into the depth
+    text = nested_towers(950)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    seed = tmp_path / "seed.json"
+    cli = [sys.executable, "-m", "curvegroups.cli"]
+    subprocess.run(cli + ["seed", "custom", "--degrees", "6", "--group", text, "--out", str(seed)], env=env, check=True)
+    assert json.loads(seed.read_text())["curve"]["group"]["form"] == text
+    lifted = subprocess.run(
+        cli + ["apply", "uludag(1)", "--in", str(seed)], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    assert json.loads(lifted)["curve"]["group"]["form"] == text[:-1] + ",2)"

@@ -19,7 +19,7 @@ from curvegroups.documents import (
     parse_document,
     render_document,
 )
-from curvegroups.extensions import Cyclic, FiniteTagged, PropertyFlags, Tower
+from curvegroups.extensions import Cyclic, FiniteTagged, Free, PropertyFlags, Tower
 from curvegroups.fpgroup import Presentation, Word
 from curvegroups.singularities import SingularityType, multiset
 from curvegroups.zariski import lift_pair, seed_pair
@@ -116,3 +116,30 @@ def test_document_round_trip_fuzzed(seed, specs):
         curve = apply(curve, spec)
     back, _ = parse_document(render_document(curve))
     assert back == curve
+
+
+@pytest.mark.parametrize(
+    "tree,expected",
+    [
+        ({"kind": "direct-sum", "parts": [{"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}]}, Cyclic(6)),
+        ({"kind": "free", "rank": 0}, Cyclic(1)),
+        ({"kind": "free-abelian", "rank": 1}, Free(1)),
+    ],
+)
+def test_group_trees_read_into_canonical_form(tree, expected):
+    g = group_from_json({"form": "unused", "tree": tree})
+    assert g == expected
+    assert group_to_json(g) == group_to_json(expected)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"kind": "quaternion", "order": 8},
+        {"kind": "direct-sum", "parts": [{"kind": "cyclic", "order": 2}]},
+        {"kind": "direct-sum", "parts": []},
+    ],
+)
+def test_group_tree_rejects_unknown_kinds_and_short_sums(tree):
+    with pytest.raises(ValueError):
+        group_from_json({"tree": tree})

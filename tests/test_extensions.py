@@ -1,4 +1,6 @@
 import itertools
+import json
+import signal
 from math import gcd
 
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from curvegroups.extensions import (
     Cyclic,
-    DirectSum,
     FiniteTagged,
     Free,
     FreeAbelian,
@@ -16,7 +17,6 @@ from curvegroups.extensions import (
     RULE_SUMMANDS_NONCOPRIME,
     SplitKind,
     Tower,
-    canonical,
     central_extend,
     direct_sum,
     format_descriptor,
@@ -27,7 +27,10 @@ from curvegroups.extensions import (
     split_test,
     to_presentation,
 )
-from curvegroups.fpgroup import AbelianInvariants, abelianization
+from curvegroups.documents import group_to_json
+from curvegroups.fpgroup import AbelianInvariants, Presentation, Word, abelianization
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -35,27 +38,28 @@ from curvegroups.fpgroup import AbelianInvariants, abelianization
 
 
 def test_trivial_forms_collapse():
-    assert canonical(Free(0)) == Cyclic(1)
-    assert canonical(FreeAbelian(0)) == Cyclic(1)
+    assert Free(0) == Cyclic(1)
+    assert FreeAbelian(0) == Cyclic(1)
     assert direct_sum() == Cyclic(1)
     assert direct_sum(Cyclic(1), Cyclic(1)) == Cyclic(1)
 
 
 def test_rank_one_free_forms_are_identified():
-    assert canonical(FreeAbelian(1)) == Free(1)
+    assert FreeAbelian(1) == Free(1)
     assert format_descriptor(Free(1)) == "Z"
 
 
 def test_coprime_cyclic_merge():
     assert direct_sum(Cyclic(2), Cyclic(3)) == Cyclic(6)
-    assert direct_sum(Cyclic(2), Cyclic(4)) == DirectSum((Cyclic(2), Cyclic(4)))
+    assert format_descriptor(direct_sum(Cyclic(2), Cyclic(4))) == "Z/2 (+) Z/4"
+    assert direct_sum(Cyclic(2), Cyclic(4)) != Cyclic(8)
     # isomorphic regroupings share one canonical form
     assert direct_sum(Cyclic(4), Cyclic(6)) == direct_sum(Cyclic(2), Cyclic(12))
 
 
 def test_direct_sum_flattens_and_sorts():
     g = direct_sum(Cyclic(3), direct_sum(Free(2), Cyclic(2)))
-    assert g == DirectSum((Free(2), Cyclic(6)))
+    assert g == direct_sum(Free(2), Cyclic(6))
     assert format_descriptor(g) == "F2 (+) Z/6"
 
 
@@ -84,14 +88,14 @@ def test_parse_descriptor_examples():
 descriptor_st = st.recursive(
     st.one_of(
         st.integers(1, 30).map(Cyclic),
-        st.integers(0, 5).map(lambda k: canonical(Free(k))),
-        st.integers(0, 5).map(lambda k: canonical(FreeAbelian(k))),
+        st.integers(0, 5).map(Free),
+        st.integers(0, 5).map(FreeAbelian),
         st.integers(1, 20).map(FiniteTagged),
     ),
     lambda children: st.one_of(
         st.lists(children, min_size=1, max_size=3).map(lambda parts: direct_sum(*parts)),
         st.tuples(children, st.lists(st.integers(2, 6), min_size=1, max_size=2)).map(
-            lambda bk: Tower(canonical(bk[0]), tuple(bk[1]))
+            lambda bk: Tower(bk[0], tuple(bk[1]))
         ),
     ),
     max_leaves=6,
@@ -100,13 +104,98 @@ descriptor_st = st.recursive(
 
 @given(descriptor_st)
 def test_descriptor_string_round_trip(g):
-    g = canonical(g)
     assert parse_descriptor(format_descriptor(g)) == g
 
 
-@given(descriptor_st)
-def test_canonical_is_idempotent(g):
-    assert canonical(canonical(g)) == canonical(g)
+PRESENTATION = Presentation(("x", "y"), (Word.parse("x^2 y^-3"),))
+
+recipe_st = st.recursive(
+    st.one_of(
+        st.tuples(st.just("cyclic"), st.integers(1, 30)),
+        st.tuples(st.just("free"), st.integers(0, 5)),
+        st.tuples(st.just("free-abelian"), st.integers(0, 5)),
+        st.tuples(st.just("finite"), st.integers(1, 20), st.sampled_from([None, PRESENTATION])),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.just("sum"), st.lists(children, max_size=3)),
+        st.tuples(st.just("tower"), children, st.lists(st.integers(2, 6), min_size=1, max_size=2)),
+    ),
+    max_leaves=6,
+)
+
+LIBRARY = {
+    "cyclic": Cyclic,
+    "free": Free,
+    "free-abelian": FreeAbelian,
+    "finite": FiniteTagged,
+    "sum": direct_sum,
+    "tower": Tower,
+}
+REFERENCE = {
+    "cyclic": oracles.Cyclic,
+    "free": oracles.Free,
+    "free-abelian": oracles.FreeAbelian,
+    "finite": oracles.FiniteTagged,
+    "sum": oracles.ref_direct_sum,
+    "tower": oracles.Tower,
+}
+
+
+def build(recipe, ns):
+    kind, *args = recipe
+    if kind == "sum":
+        return ns["sum"](*(build(r, ns) for r in args[0]))
+    if kind == "tower":
+        return ns["tower"](build(args[0], ns), tuple(args[1]))
+    return ns[kind](*args)
+
+
+def assert_same_group(g, ref):
+    """``g`` from the library and canonical ``ref`` from the reference agree
+    on text, document bytes, order, flags and presentation."""
+    text = oracles.ref_format(ref)
+    assert format_descriptor(g) == text
+    assert json.dumps(group_to_json(g)) == json.dumps({"form": text, "tree": oracles.ref_tree(ref)})
+    assert order_of(g) == oracles.ref_order(ref)
+    assert props_from_descriptor(g).known() == oracles.ref_props(ref).known()
+    assert to_presentation(g) == oracles.ref_presentation(ref)
+
+
+@given(recipe_st)
+def test_descriptor_matches_per_class_reference(recipe):
+    g = build(recipe, LIBRARY)
+    ref = oracles.ref_canonical(build(recipe, REFERENCE))
+    assert_same_group(g, ref)
+    for n, irreducible, family_tag in itertools.product(range(2, 7), (False, True), (None, "generic-lines")):
+        assert_same_group(
+            central_extend(g, n, irreducible=irreducible, family_tag=family_tag),
+            oracles.ref_central_extend(ref, n, irreducible=irreducible, family_tag=family_tag),
+        )
+
+
+@given(recipe_st, recipe_st)
+def test_sums_in_both_orders_match_reference(a, b):
+    ab = direct_sum(build(a, LIBRARY), build(b, LIBRARY))
+    ba = direct_sum(build(b, LIBRARY), build(a, LIBRARY))
+    ref_ab = oracles.ref_direct_sum(build(a, REFERENCE), build(b, REFERENCE))
+    ref_ba = oracles.ref_direct_sum(build(b, REFERENCE), build(a, REFERENCE))
+    assert_same_group(ab, ref_ab)
+    assert_same_group(ba, ref_ba)
+    assert (ab == ba) == (ref_ab == ref_ba)
+
+
+def test_direct_sum_never_factors_an_order():
+    def expire(signum, frame):
+        raise TimeoutError("direct_sum did not finish within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        g = direct_sum(Cyclic(2), Cyclic(10**18 + 3))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert format_descriptor(g) == f"Z/{2 * (10**18 + 3)}"
 
 
 def test_order_of():
@@ -364,6 +453,16 @@ def test_props_of_prime_order_group():
     flags = props_from_descriptor(FiniteTagged(7))
     assert flags.cyclic is True
     assert flags.p_group == 7
+
+
+def test_props_of_finite_groups_against_naive_factoring():
+    for n in range(1, 301):
+        divisors = [p for p in range(2, n + 1) if n % p == 0]
+        primes = [p for p in divisors if all(p % q for q in range(2, p))]
+        flags = props_from_descriptor(FiniteTagged(n))
+        assert flags.finite is True
+        assert flags.p_group == (primes[0] if len(primes) == 1 else None)
+        assert flags.cyclic is (True if n == 1 or primes == [n] else None)
 
 
 # ---------------------------------------------------------------------------
