@@ -10,6 +10,7 @@ exits 0 with ``"verdict": "discrepancy"`` in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -206,16 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -160,7 +160,7 @@ def degree_after(degree: int, spec: ConstructionSpec) -> int:
 
 def _mult_run(value: int, length: int) -> SingularityType:
     # storage-level constructor: multiplicity-1 bookkeeping entries allowed
-    return SingularityType((value,) * length)
+    return SingularityType.from_runs(((value, length),))
 
 
 def _blowdown(head: int, clusters: list[SingularityType]) -> SingularityType:
@@ -168,7 +168,7 @@ def _blowdown(head: int, clusters: list[SingularityType]) -> SingularityType:
         return blowdown_type(head, clusters)
     # head 1 (degree 1 and a single step) is bookkeeping that blowdown_type
     # refuses; there is exactly one cluster then
-    return SingularityType((head,) + clusters[0].entries)
+    return SingularityType.from_runs(((head, 1),) + clusters[0].runs)
 
 
 def special_blowdown_type(degree: int, n: int, recorded_head: bool = True) -> SingularityType:

@@ -4,9 +4,15 @@ The state tracks the surface index, the meridian word of the exceptional
 section, and a meridian word per auxiliary fiber.  An index-raising
 elementary transformation left-multiplies the chosen fiber's meridian by
 the exceptional section's meridian and leaves every other word alone; an
-index-lowering transformation changes no words at all.  Replaying a full
-schedule therefore derives the closed-form relator words that feed the
-group-theoretic side of the construction engine.
+index-lowering transformation changes no words at all.  A full schedule
+therefore ends in closed form: a fiber raised n times carries
+``E^n`` times its own generator, where E is the exceptional meridian
+(``(b a1..ak)^{n_i} a_i`` for the general layout), and every other fiber
+keeps its generator.  :func:`replay` builds that final state directly, so
+its cost does not grow with the counts beyond the size of the words and
+the one-line-per-step trace; :func:`elem_first` and :func:`elem_second`
+remain as the single steps it summarises.  The words are the relators that
+feed the group-theoretic side of the construction engine.
 
 Fiber labels follow the construction layouts: ``P``/``P1..Pl`` for the
 lowering fibers (meridian generators ``b``, ``b1..bl``), ``Q1..Qk`` for the
@@ -102,8 +108,9 @@ def elem_second(state: MeridianState, fiber: str) -> MeridianState:
     )
 
 
-def _schedule(spec: ConstructionSpec) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """Fiber labels and the (step type, fiber) sequence for a spec."""
+def _schedule(spec: ConstructionSpec):
+    """Fiber labels, and the (fiber, count) pairs of the raising and of the
+    lowering phase: every raising step comes before every lowering step."""
     if spec.form == "special":
         raising = lowering = labels = ("L",)
     else:
@@ -113,28 +120,35 @@ def _schedule(spec: ConstructionSpec) -> tuple[tuple[str, ...], tuple[tuple[str,
         else:
             lowering = ("P",)
         labels = lowering + raising
-    steps = [("type1", q) for q, n in zip(raising, spec.raise_counts) for _ in range(n)]
-    steps += [("type2", p) for p, m in zip(lowering, spec.lower_counts) for _ in range(m)]
-    return labels, tuple(steps)
+    return labels, tuple(zip(raising, spec.raise_counts)), tuple(zip(lowering, spec.lower_counts))
 
 
 def replay(spec: ConstructionSpec) -> MeridianState:
-    """Replay a spec's full schedule and return the final state.
+    """The final state of a spec's full schedule, in closed form.
 
-    The final index is checked to be 1 (back on the surface that blows down
-    to the plane); an index-bound violation is reported with its step
-    number.
+    Raising a fiber n times left-multiplies its meridian by the exceptional
+    meridian E each time, so it ends as ``E^n`` times its generator; the
+    lowering steps change no words and bring the index back to 1.  Only the
+    trace is written step by step.  The result equals the step-by-step
+    composition of :func:`elem_first` and :func:`elem_second`.
     """
-    labels, steps = _schedule(spec)
-    state = init_state(labels)
-    for number, (kind, fiber) in enumerate(steps, 1):
-        try:
-            state = elem_first(state, fiber) if kind == "type1" else elem_second(state, fiber)
-        except ValueError as exc:
-            raise ValueError(f"schedule step {number} ({kind} on {fiber}): {exc}") from exc
-    if state.index != 1:
-        raise ValueError(f"schedule ended on index {state.index}, expected 1")
-    return state
+    labels, raising, lowering = _schedule(spec)
+    start = init_state(labels)
+    exceptional = start.exceptional.letters
+    counts = dict(raising)
+    fibers = tuple(
+        (label, Word(exceptional * counts[label] + word.letters) if label in counts else word)
+        for label, word in start.fibers
+    )
+    trace = list(start.trace)
+    index = 1
+    for fiber, n in raising:
+        trace += [f"F{i} type1 {fiber}" for i in range(index + 1, index + n + 1)]
+        index += n
+    for fiber, m in lowering:
+        trace += [f"F{i} type2 {fiber}" for i in range(index - 1, index - m - 1, -1)]
+        index -= m
+    return MeridianState(index, start.exceptional, fibers, tuple(trace))
 
 
 def run_schedule(spec: ConstructionSpec) -> dict[str, Word]:

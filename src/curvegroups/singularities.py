@@ -3,7 +3,10 @@
 A singularity type is the ordered list of multiplicities of the point along
 its resolution by blow-ups; an entry may also be a blow-down record that
 nests a head multiplicity over a multiset of infinitely-near clusters.
-Multiplicity-1 entries are legal in storage (they keep the
+Types are stored as runs ``(entry, count)`` with adjacent equal entries
+merged and every count >= 1, so ``[2_1000000]`` costs what ``[2_3]``
+costs; equality, hashing, ordering, drops and the text form all work per
+run.  Multiplicity-1 entries are legal in storage (they keep the
 self-intersection audit exact for degree-1 bookkeeping) but are elided in
 display; runs of three or more equal multiplicities print abbreviated, so
 [2,2,2] displays as [2_3].
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, "BlowdownEntry"]
+Run = tuple[Entry, int]
 
 
 @dataclass(frozen=True)
@@ -34,18 +38,52 @@ class BlowdownEntry:
         object.__setattr__(self, "clusters", tuple(sorted(self.clusters, key=type_key)))
 
 
-@dataclass(frozen=True)
-class SingularityType:
-    entries: tuple[Entry, ...]
+def _canonical_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
+    """Validated runs with adjacent equal entries merged."""
+    out: list[Run] = []
+    for entry, count in runs:
+        if not isinstance(entry, BlowdownEntry) and (not isinstance(entry, int) or entry < 1):
+            raise ValueError(f"multiplicity entries must be integers >= 1, got {entry!r}")
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"run length must be an integer >= 1, got {count!r}")
+        if out and out[-1][0] == entry:
+            out[-1] = (entry, out[-1][1] + count)
+        else:
+            out.append((entry, count))
+    if not out:
+        raise ValueError("a singularity type needs at least one entry")
+    return tuple(out)
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a singularity type needs at least one entry")
-        for e in self.entries:
-            if isinstance(e, BlowdownEntry):
-                continue
-            if not isinstance(e, int) or e < 1:
-                raise ValueError(f"multiplicity entries must be integers >= 1, got {e!r}")
+
+@dataclass(frozen=True, init=False)
+class SingularityType:
+    """A multiplicity sequence stored as canonical runs ``(entry, count)``.
+
+    The constructor takes the expanded entries and compresses them;
+    :meth:`from_runs` takes runs directly.
+
+    >>> SingularityType((2, 2, 2, 3)).runs
+    ((2, 3), (3, 1))
+    >>> SingularityType.from_runs([(2, 10**9), (2, 1)]) == SingularityType.from_runs([(2, 10**9 + 1)])
+    True
+    """
+
+    runs: tuple[Run, ...]
+
+    def __init__(self, entries: Iterable[Entry]):
+        object.__setattr__(self, "runs", _canonical_runs((e, 1) for e in entries))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run]) -> "SingularityType":
+        t = cls.__new__(cls)
+        object.__setattr__(t, "runs", _canonical_runs(runs))
+        return t
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        """The expanded multiplicity sequence, one entry per blow-up step.
+        Its length is the sum of the counts."""
+        return tuple(e for e, count in self.runs for _ in range(count))
 
     def __str__(self) -> str:
         return format_type(self)
@@ -54,11 +92,27 @@ class SingularityType:
         return format_type(self, elide_ones=True)
 
 
+def _entry_key(e: Entry):
+    return (0, e) if isinstance(e, int) else (1, e.head, tuple(type_key(c) for c in e.clusters))
+
+
 def type_key(t: SingularityType):
-    return tuple(
-        (0, e) if isinstance(e, int) else (1, e.head, tuple(type_key(c) for c in e.clusters))
-        for e in t.entries
-    )
+    """Sort key ordering types as their expanded entry sequences compare.
+
+    A run of ``count`` copies of an entry with key k keys as ``(k, 1,
+    -count)`` when the next run's entry is greater (a longer run then sorts
+    first) and as ``(k, -1, count)`` when it is smaller or the sequence ends
+    (a longer run then sorts last).
+    """
+    key = t.__dict__.get("_key")
+    if key is None:
+        keys = [_entry_key(e) for e, _ in t.runs] + [None]
+        key = tuple(
+            (k, 1, -count) if following is not None and following > k else (k, -1, count)
+            for k, following, (_, count) in zip(keys, keys[1:], t.runs)
+        )
+        object.__setattr__(t, "_key", key)  # cached: a function of the runs alone
+    return key
 
 
 def tacnode_type(branches: int, order: int = 0) -> SingularityType:
@@ -69,7 +123,7 @@ def tacnode_type(branches: int, order: int = 0) -> SingularityType:
         raise ValueError("a tacnode needs at least 2 branches")
     if order < 0:
         raise ValueError("tacnode order must be >= 0")
-    return SingularityType((branches,) * (order + 1))
+    return SingularityType.from_runs(((branches, order + 1),))
 
 
 def blowdown_type(head: int, clusters: Sequence[SingularityType]) -> SingularityType:
@@ -83,20 +137,20 @@ def blowdown_type(head: int, clusters: Sequence[SingularityType]) -> Singularity
     clusters = tuple(clusters)
     if not clusters:
         raise ValueError("blow-down needs at least one cluster")
-    if len(clusters) == 1 and all(isinstance(e, int) for e in clusters[0].entries):
-        return SingularityType((head,) + clusters[0].entries)
-    return SingularityType((BlowdownEntry(head, clusters),))
+    if len(clusters) == 1 and all(isinstance(e, int) for e, _ in clusters[0].runs):
+        return SingularityType.from_runs(((head, 1),) + clusters[0].runs)
+    return SingularityType.from_runs(((BlowdownEntry(head, clusters), 1),))
 
 
 def drop(t: SingularityType) -> int:
     """Total self-intersection decrease from resolving the point: the sum of
     squared multiplicities, recursing through blow-down entries."""
     total = 0
-    for e in t.entries:
+    for e, count in t.runs:
         if isinstance(e, int):
-            total += e * e
+            total += count * e * e
         else:
-            total += e.head * e.head + sum(drop(c) for c in e.clusters)
+            total += count * (e.head * e.head + sum(drop(c) for c in e.clusters))
     return total
 
 
@@ -109,25 +163,18 @@ def _format_run(value: int, count: int) -> str:
 
 
 def format_type(t: SingularityType, elide_ones: bool = False) -> str:
-    entries = t.entries
+    runs = t.runs
     if elide_ones:
-        kept = tuple(e for e in entries if not isinstance(e, int) or e > 1)
+        kept = [(e, count) for e, count in runs if not isinstance(e, int) or e > 1]
         if kept:
-            entries = kept
+            runs = _canonical_runs(kept)
     parts: list[str] = []
-    i = 0
-    while i < len(entries):
-        e = entries[i]
+    for e, count in runs:
         if isinstance(e, int):
-            j = i
-            while j < len(entries) and entries[j] == e:
-                j += 1
-            parts.append(_format_run(e, j - i))
-            i = j
+            parts.append(_format_run(e, count))
         else:
             inner = ",".join(f"|{format_type(c, elide_ones)}|" for c in e.clusters)
-            parts.append(f"{e.head},({inner})")
-            i += 1
+            parts.extend([f"{e.head},({inner})"] * count)
     return "[" + ",".join(parts) + "]"
 
 
@@ -163,7 +210,7 @@ class _TypeParser:
 
     def parse_type(self) -> SingularityType:
         self.expect("[")
-        entries: list[Entry] = []
+        runs: list[Run] = []
         while True:
             value = self.integer()
             if self.peek() == "_":
@@ -171,22 +218,22 @@ class _TypeParser:
                 count = self.integer()
                 if count < 1:
                     raise self.error("run length must be >= 1")
-                entries.extend([value] * count)
+                runs.append((value, count))
             elif self.peek() == ",":
                 save = self.pos
                 self.pos += 1
                 if self.peek() == "(":
-                    entries.append(self.parse_blowdown(value))
+                    runs.append((self.parse_blowdown(value), 1))
                 else:
                     self.pos = save
-                    entries.append(value)
+                    runs.append((value, 1))
             else:
-                entries.append(value)
+                runs.append((value, 1))
             if self.peek() == ",":
                 self.pos += 1
                 continue
             self.expect("]")
-            return SingularityType(tuple(entries))
+            return SingularityType.from_runs(runs)
 
     def parse_blowdown(self, head: int) -> BlowdownEntry:
         self.expect("(")

@@ -5,8 +5,10 @@ repeated scanning, determinants by fraction-free elimination, invariant
 factors by gcds of minors, Zariski families by lifting along every
 composition and deduplicating, partition counts by Euler's pentagonal
 recurrence, each construction's added singularities and Hirzebruch
-schedule by a separate rule per text form, and group descriptors by one
-class per shape with cyclic parts merged through prime factorisation.
+schedule by a separate rule per text form (replayed one elementary
+transformation at a time), singularity types entry by entry on their
+expanded sequences, and group descriptors by one class per shape with
+cyclic parts merged through prime factorisation.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ from curvegroups.constructions import General
 from curvegroups.documents import encode_int, presentation_to_json
 from curvegroups.extensions import PropertyFlags, propagate_properties
 from curvegroups.fpgroup import Presentation, Word, commutator, generator
-from curvegroups.singularities import SingularityType, blowdown_type, multiset
+from curvegroups.meridians import elem_first, elem_second, init_state
+from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type, multiset
 from curvegroups.zariski import lift_pair
 
 
@@ -196,6 +199,140 @@ REFERENCE_SCHEDULE = {
     "mixed": _mixed_schedule,
     "special": lambda n: (("L",), (("type1", "L"),) * n + (("type2", "L"),) * n),
 }
+
+
+def stepwise_replay(form, *args):
+    """The letter-by-letter replay: the form's step sequence composed one
+    :func:`elem_first` / :func:`elem_second` at a time."""
+    labels, steps = REFERENCE_SCHEDULE[form](*args)
+    state = init_state(labels)
+    for kind, fiber in steps:
+        state = (elem_first if kind == "type1" else elem_second)(state, fiber)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# Singularity types on their expanded entries: the sort key, drop, printer
+# and parser written one entry at a time.  Run-length storage must agree
+# with every one of them.
+
+
+def ref_type_key(t):
+    return tuple(
+        (0, e) if isinstance(e, int) else (1, e.head, tuple(ref_type_key(c) for c in e.clusters))
+        for e in t.entries
+    )
+
+
+def ref_drop(t):
+    total = 0
+    for e in t.entries:
+        if isinstance(e, int):
+            total += e * e
+        else:
+            total += e.head * e.head + sum(ref_drop(c) for c in e.clusters)
+    return total
+
+
+def ref_format_type(t, elide_ones=False):
+    entries = t.entries
+    if elide_ones:
+        kept = tuple(e for e in entries if not isinstance(e, int) or e > 1)
+        if kept:
+            entries = kept
+    parts = []
+    i = 0
+    while i < len(entries):
+        e = entries[i]
+        if isinstance(e, int):
+            j = i
+            while j < len(entries) and entries[j] == e:
+                j += 1
+            count = j - i
+            parts.append(f"{e}_{count}" if count >= 3 else ",".join([str(e)] * count))
+            i = j
+        else:
+            inner = ",".join(f"|{ref_format_type(c, elide_ones)}|" for c in e.clusters)
+            parts.append(f"{e.head},({inner})")
+            i += 1
+    return "[" + ",".join(parts) + "]"
+
+
+class _RefTypeParser:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        return ValueError(f"bad singularity type at position {self.pos}: {message} in {self.text!r}")
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self):
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def parse_type(self):
+        self.expect("[")
+        entries = []
+        while True:
+            value = self.integer()
+            if self.peek() == "_":
+                self.pos += 1
+                count = self.integer()
+                if count < 1:
+                    raise self.error("run length must be >= 1")
+                entries.extend([value] * count)
+            elif self.peek() == ",":
+                save = self.pos
+                self.pos += 1
+                if self.peek() == "(":
+                    entries.append(self.parse_blowdown(value))
+                else:
+                    self.pos = save
+                    entries.append(value)
+            else:
+                entries.append(value)
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect("]")
+            return SingularityType(tuple(entries))
+
+    def parse_blowdown(self, head):
+        self.expect("(")
+        clusters = []
+        while True:
+            self.expect("|")
+            clusters.append(self.parse_type())
+            self.expect("|")
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect(")")
+            return BlowdownEntry(head, tuple(clusters))
+
+
+def ref_parse_type(text):
+    parser = _RefTypeParser(text)
+    result = parser.parse_type()
+    parser.peek()
+    if parser.pos != len(text):
+        raise parser.error("trailing characters")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from curvegroups.cli import main
 from curvegroups.documents import parse_document
 
@@ -276,3 +278,41 @@ def test_group_nested_950_deep_round_trips(tmp_path):
         cli + ["apply", "uludag(1)", "--in", str(seed)], env=env, check=True, capture_output=True, text=True
     ).stdout
     assert json.loads(lifted)["curve"]["group"]["form"] == text[:-1] + ",2)"
+
+
+def test_group_nested_985_deep_is_a_named_error_when_rendered():
+    # parses (the limit is near 990 levels) but is too deep for the JSON
+    # encoder; a fresh process, as above
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-m", "curvegroups.cli", "seed", "custom", "--degrees", "6", "--group", nested_towers(985)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "nested too deeply" in result.stderr
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    for _ in range(2):
+        code, out, err = run_cli(
+            capsys, "seed", "custom", "--degrees", "3", "--group", "Z/3", "--singularity", "[2]", "--singularity", "[3,2]"
+        )
+        assert code == 0, err
+        assert sorted(json.loads(out)["curve"]["singularities"]) == ["[2]", "[3,2]"]
+        code, out, err = run_cli(capsys, "seed", "custom", "--degrees", "3", "--group", "Z/3")
+        assert code == 0, err
+        assert json.loads(out)["curve"]["singularities"] == []
+    seed = tmp_path / "seed.json"
+    assert main(["seed", "smooth", "--degree", "2", "--out", str(seed)]) == 0
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "apply", "general(2,1)", "--in", str(seed), "--meridians")
+        assert code == 0, err
+        assert set(json.loads(out)["reports"]) == {"audit", "meridians"}
+        code, out, err = run_cli(capsys, "apply", "general(2,1)", "--in", str(seed))
+        assert code == 0, err
+        assert set(json.loads(out)["reports"]) == {"audit"}
+    with pytest.raises(SystemExit):
+        main(["audit", "uludag(1)"])
+    assert "--degree" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "audit", "uludag(1)", "--degree", "2")
+    assert code == 0, err

@@ -241,6 +241,19 @@ def test_schedules_match_the_per_form_reference():
             assert report.variant_residual == variant
 
 
+def test_closed_form_replay_matches_the_stepwise_replay():
+    # letter for letter, not only up to free reduction
+    longer = [("general", ((40, 25, 7),)), ("special", (30,)), ("mixed", ((20, 13), (11, 22)))]
+    for form, args in list(schedule_grid()) + longer:
+        replayed = replay(CONSTRUCTORS[form](*args))
+        expected = oracles.stepwise_replay(form, *args)
+        assert replayed.index == expected.index == 1
+        assert replayed.labels() == expected.labels()
+        assert replayed.exceptional.letters == expected.exceptional.letters
+        assert [w.letters for _, w in replayed.fibers] == [w.letters for _, w in expected.fibers]
+        assert replayed.trace == expected.trace
+
+
 def test_added_singularities_degree_one_bookkeeping():
     assert added_singularities(1, General((1,))) == multiset(
         [SingularityType((1,)), SingularityType((1, 1))]

@@ -1,6 +1,5 @@
 import itertools
 import json
-import signal
 from math import gcd
 
 import pytest
@@ -31,6 +30,7 @@ from curvegroups.documents import group_to_json
 from curvegroups.fpgroup import AbelianInvariants, Presentation, Word, abelianization
 
 import oracles
+from conftest import deadline
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +185,8 @@ def test_sums_in_both_orders_match_reference(a, b):
 
 
 def test_direct_sum_never_factors_an_order():
-    def expire(signum, frame):
-        raise TimeoutError("direct_sum did not finish within 2 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with deadline(2.0):
         g = direct_sum(Cyclic(2), Cyclic(10**18 + 3))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert format_descriptor(g) == f"Z/{2 * (10**18 + 3)}"
 
 
