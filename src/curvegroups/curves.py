@@ -21,7 +21,7 @@ from .extensions import (
     format_descriptor,
     props_from_descriptor,
 )
-from .fpgroup import AbelianInvariants, smith_normal_form
+from .fpgroup import AbelianInvariants, _require_ints, smith_normal_form
 from .singularities import (
     EMPTY_MULTISET,
     SingularityMultiset,
@@ -47,8 +47,9 @@ class CurveDatum:
     log: tuple[LogEntry, ...] = ()
 
     def __post_init__(self):
-        degrees = tuple(int(d) for d in self.component_degrees)
-        if not degrees or any(d < 1 for d in degrees):
+        degrees = tuple(self.component_degrees)
+        _require_ints("component degrees", degrees, 1)
+        if not degrees:
             raise ValueError("component degrees must be a nonempty list of positive integers")
         object.__setattr__(self, "component_degrees", degrees)
 
@@ -157,8 +158,9 @@ def custom_seed(
 def h1_from_degrees(component_degrees) -> AbelianInvariants:
     """First homology of the complement from component degrees alone:
     Z^r modulo the single relation (d1, ..., dr)."""
-    degrees = [int(d) for d in component_degrees]
-    if not degrees or any(d < 1 for d in degrees):
+    degrees = list(component_degrees)
+    _require_ints("component degrees", degrees, 1)
+    if not degrees:
         raise ValueError("component degrees must be positive")
     factors = smith_normal_form([degrees])
     torsion = tuple(d for d in factors if d > 1)

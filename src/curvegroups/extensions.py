@@ -32,7 +32,7 @@ from enum import Enum
 from math import gcd, prod
 import re
 
-from .fpgroup import AbelianInvariants, Presentation, Word, commutator, generator
+from .fpgroup import AbelianInvariants, Presentation, Word, _require_ints, commutator, generator
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,13 @@ class GroupDescriptor:
 
 def Cyclic(order: int) -> GroupDescriptor:
     """Finite cyclic group Z/order; Cyclic(1) is the trivial group."""
-    if order < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {order}")
+    _require_ints("cyclic orders", (order,), 1)
     return GroupDescriptor(abelian=AbelianInvariants(0, (order,) if order > 1 else ()))
 
 
 def Free(rank: int) -> GroupDescriptor:
     """Free group of the given rank; Free(1) is the canonical form of Z."""
-    if rank < 0:
-        raise ValueError("free rank must be >= 0")
+    _require_ints("free ranks", (rank,), 0)
     if rank < 2:
         return GroupDescriptor(abelian=AbelianInvariants(rank))
     return GroupDescriptor(free=(rank,))
@@ -73,27 +71,24 @@ def Free(rank: int) -> GroupDescriptor:
 
 def FreeAbelian(rank: int) -> GroupDescriptor:
     """Free abelian group Z^rank."""
-    if rank < 0:
-        raise ValueError("free abelian rank must be >= 0")
     return GroupDescriptor(abelian=AbelianInvariants(rank))
 
 
 def FiniteTagged(order: int, presentation: Presentation | None = None) -> GroupDescriptor:
     """An otherwise-unclassified finite group of known order, optionally
     carrying a presentation."""
-    if order < 1:
-        raise ValueError("finite group order must be >= 1")
+    _require_ints("finite group orders", (order,), 1)
     return GroupDescriptor(finite=((order, presentation),))
 
 
 def Tower(base: GroupDescriptor, kernels: tuple[int, ...]) -> GroupDescriptor:
     """Unresolved iterated central extension of ``base`` by cyclic groups of
     the listed kernel orders, innermost first."""
+    kernels = tuple(kernels)
     if not kernels:
         raise ValueError("a tower needs at least one kernel order")
-    if any(n < 2 for n in kernels):
-        raise ValueError("tower kernel orders must all be >= 2")
-    return GroupDescriptor(towers=((base, tuple(kernels)),))
+    _require_ints("tower kernel orders", kernels, 2)
+    return GroupDescriptor(towers=((base, kernels),))
 
 
 def _with_cyclic(chain: list[int], a: int) -> list[int]:
@@ -185,64 +180,51 @@ def format_descriptor(g: GroupDescriptor) -> str:
     return " (+) ".join(texts)
 
 
-def _split_summands(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        # "(+)" is the sum separator, not a grouping paren
-        if text[i : i + 3] == "(+)":
-            if depth == 0:
-                parts.append(text[start:i])
-                start = i + 3
-            i += 3
-            continue
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        i += 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
+# The two parser states: a part (or an opening ``Tower(``) is expected, or
+# what may follow a part.  Whitespace goes only where a leading \s* or the
+# kernel list takes it, never inside an atom.
+_ATOM = re.compile(
+    r"\s*(?:(?P<tower>Tower\()|Z/(?P<cyclic>\d+)|Z\^(?P<free_abelian>\d+)"
+    r"|F(?P<free>\d+)|Fin\((?P<finite>\d+)\)|(?P<Z>Z))"
+)
+_AFTER = re.compile(r"\s*(?:(?P<sum>\(\+\))|;(?P<kernels>[\d,\s]+)\)|(?P<end>\Z))")
+_ATOM_KINDS = {"cyclic": Cyclic, "free_abelian": FreeAbelian, "free": Free, "finite": FiniteTagged}
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
-    """Parse the canonical text form back into a descriptor."""
-    try:
-        return _parse_descriptor(text)
-    except RecursionError:
-        raise ValueError("group descriptor is nested too deeply") from None
+    """Parse the canonical text form back into a descriptor, in one pass
+    from left to right: ``Tower(`` pushes a list of summands onto a stack
+    and ``; kernels)`` pops it, so nesting depth costs no stack frames.
 
-
-def _parse_descriptor(text: str) -> GroupDescriptor:
-    parts = _split_summands(text.strip())
-    if len(parts) > 1:
-        return direct_sum(*(_parse_descriptor(p) for p in parts))
-    atom = parts[0]
-    if not atom:
-        raise ValueError("empty group descriptor")
-    if atom == "Z":
-        return Free(1)
-    m = re.fullmatch(r"Z/(\d+)", atom)
-    if m:
-        return Cyclic(int(m.group(1)))
-    m = re.fullmatch(r"Z\^(\d+)", atom)
-    if m:
-        return FreeAbelian(int(m.group(1)))
-    m = re.fullmatch(r"F(\d+)", atom)
-    if m:
-        return Free(int(m.group(1)))
-    m = re.fullmatch(r"Fin\((\d+)\)", atom)
-    if m:
-        return FiniteTagged(int(m.group(1)))
-    m = re.fullmatch(r"Tower\((.+);\s*([\d,\s]+)\)", atom, re.DOTALL)
-    if m:
-        base = _parse_descriptor(m.group(1))
-        kernels = tuple(int(s) for s in m.group(2).split(",") if s.strip())
-        return Tower(base, kernels)
-    raise ValueError(f"cannot parse group descriptor {atom!r}")
+    >>> str(parse_descriptor("Tower(Z/2 (+) Z/3; 2, 3)"))
+    'Tower(Z/6; 2,3)'
+    """
+    levels: list[list[GroupDescriptor]] = [[]]  # open summand lists, outermost first
+    pos = 0
+    while m := _ATOM.match(text, pos):
+        pos, kind = m.end(), m.lastgroup
+        if kind == "tower":
+            levels.append([])
+            continue
+        levels[-1].append(Free(1) if kind == "Z" else _ATOM_KINDS[kind](int(m[kind])))
+        # after a part comes "(+)" or the close of its level: the end of the
+        # text at the outermost level, "; kernels)" at every other
+        while (m := _AFTER.match(text, pos)) and m.lastgroup == ("kernels" if len(levels) > 1 else "end"):
+            parts = levels.pop()
+            group = parts[0] if len(parts) == 1 else direct_sum(*parts)
+            if m.lastgroup == "end":
+                return group
+            try:  # whitespace after ";" is skipped; int() takes that around each order
+                kernels = tuple(int(s) for s in m["kernels"].lstrip().split(",") if s.strip())
+            except ValueError:
+                pos = m.start("kernels")
+                break
+            levels[-1].append(Tower(group, kernels))
+            pos = m.end()
+        if not m or m.lastgroup != "sum":
+            break
+        pos = m.end()
+    raise ValueError(f"cannot parse group descriptor {text!r} at position {pos}")
 
 
 def to_presentation(g: GroupDescriptor) -> Presentation | None:

@@ -187,6 +187,16 @@ def quotient(p: Presentation, extra: Sequence[Word]) -> Presentation:
     return Presentation(p.generators, p.relators + tuple(extra))
 
 
+def _require_ints(what: str, values, least: int) -> None:
+    """Check that ``values`` are integers >= ``least``.  Floats, bools and
+    strings are rejected rather than truncated or read as numbers."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{what} must be integers, got {value!r}")
+        if value < least:
+            raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class AbelianInvariants:
     """Invariant-factor form of a finitely generated abelian group.
@@ -199,12 +209,9 @@ class AbelianInvariants:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        tor = tuple(int(d) for d in self.torsion)
-        for d in tor:
-            if d < 2:
-                raise ValueError(f"torsion entries must be >= 2, got {d}")
+        tor = tuple(self.torsion)
+        _require_ints("free ranks", (self.free_rank,), 0)
+        _require_ints("torsion entries", tor, 2)
         for a, b in zip(tor, tor[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion entries must form a divisibility chain: {a} does not divide {b}")

@@ -202,7 +202,7 @@ class _TypeParser:
     def integer(self) -> int:
         self.skip_space()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")

@@ -7,13 +7,17 @@ composition and deduplicating, partition counts by Euler's pentagonal
 recurrence, each construction's added singularities and Hirzebruch
 schedule by a separate rule per text form (replayed one elementary
 transformation at a time), singularity types entry by entry on their
-expanded sequences, and group descriptors by one class per shape with
-cyclic parts merged through prime factorisation.
+expanded sequences, group descriptors by one class per shape with
+cyclic parts merged through prime factorisation, and descriptor text by
+splitting at top-level separators and matching each summand recursively.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, prod
+import re
+
+from curvegroups import extensions
 
 from curvegroups.constructions import General
 from curvegroups.documents import encode_int, presentation_to_json
@@ -597,3 +601,62 @@ def ref_central_extend(g, n, *, irreducible=False, family_tag=None):
     if isinstance(g, Tower):
         return Tower(g.base, g.kernels + (n,))
     return Tower(g, (n,))
+
+
+# ---------------------------------------------------------------------------
+# Reference descriptor parser: split the text at top-level "(+)" and match
+# each summand against one regex per shape, recursing into tower bases.
+# It rescans the text once per nesting level, so keep inputs shallow.
+
+
+def _split_summands(text):
+    parts = []
+    depth = 0
+    start = 0
+    i = 0
+    while i < len(text):
+        # "(+)" is the sum separator, not a grouping paren
+        if text[i : i + 3] == "(+)":
+            if depth == 0:
+                parts.append(text[start:i])
+                start = i + 3
+            i += 3
+            continue
+        c = text[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        i += 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts]
+
+
+def ref_parse_descriptor(text):
+    """The library's descriptor, parsed by splitting and matching."""
+    parts = _split_summands(text.strip())
+    if len(parts) > 1:
+        return extensions.direct_sum(*(ref_parse_descriptor(p) for p in parts))
+    atom = parts[0]
+    if not atom:
+        raise ValueError("empty group descriptor")
+    if atom == "Z":
+        return extensions.Free(1)
+    m = re.fullmatch(r"Z/(\d+)", atom)
+    if m:
+        return extensions.Cyclic(int(m.group(1)))
+    m = re.fullmatch(r"Z\^(\d+)", atom)
+    if m:
+        return extensions.FreeAbelian(int(m.group(1)))
+    m = re.fullmatch(r"F(\d+)", atom)
+    if m:
+        return extensions.Free(int(m.group(1)))
+    m = re.fullmatch(r"Fin\((\d+)\)", atom)
+    if m:
+        return extensions.FiniteTagged(int(m.group(1)))
+    m = re.fullmatch(r"Tower\((.+);\s*([\d,\s]+)\)", atom, re.DOTALL)
+    if m:
+        base = ref_parse_descriptor(m.group(1))
+        kernels = tuple(int(s) for s in m.group(2).split(",") if s.strip())
+        return extensions.Tower(base, kernels)
+    raise ValueError(f"cannot parse group descriptor {atom!r}")

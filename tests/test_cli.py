@@ -281,7 +281,7 @@ def test_group_nested_950_deep_round_trips(tmp_path):
 
 
 def test_group_nested_985_deep_is_a_named_error_when_rendered():
-    # parses (the limit is near 990 levels) but is too deep for the JSON
+    # parses (parsing has no depth limit) but is too deep for the JSON
     # encoder; a fresh process, as above
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     argv = [sys.executable, "-m", "curvegroups.cli", "seed", "custom", "--degrees", "6", "--group", nested_towers(985)]

@@ -1,15 +1,12 @@
 import doctest
+import importlib
+import pkgutil
 
-import curvegroups.extensions
-import curvegroups.fpgroup
-import curvegroups.singularities
+import curvegroups
 
 
 def test_module_doctests():
-    for module in (
-        curvegroups.fpgroup,
-        curvegroups.extensions,
-        curvegroups.singularities,
-    ):
+    names = [info.name for info in pkgutil.iter_modules(curvegroups.__path__)]
+    for module in [curvegroups, *(importlib.import_module(f"curvegroups.{name}") for name in names)]:
         result = doctest.testmod(module)
         assert result.failed == 0, f"doctest failures in {module.__name__}"

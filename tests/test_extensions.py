@@ -3,7 +3,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curvegroups.extensions import (
     Cyclic,
@@ -26,8 +26,10 @@ from curvegroups.extensions import (
     split_test,
     to_presentation,
 )
+from curvegroups.curves import CurveDatum, h1_from_degrees, seed_smooth
 from curvegroups.documents import group_to_json
 from curvegroups.fpgroup import AbelianInvariants, Presentation, Word, abelianization
+from curvegroups.singularities import EMPTY_MULTISET
 
 import oracles
 from conftest import deadline
@@ -105,6 +107,108 @@ descriptor_st = st.recursive(
 @given(descriptor_st)
 def test_descriptor_string_round_trip(g):
     assert parse_descriptor(format_descriptor(g)) == g
+
+
+# Descriptor text as the grammar allows it, with whitespace wherever it may
+# go and numbers in other scripts' decimal digits, then edited by inserting
+# or deleting characters so that many draws leave the language.
+WHITESPACE = st.sampled_from(["", "", " ", "\t", "\n", "\u3000", "\x1c"])
+NUMBER = st.integers(0, 40).map(str) | st.sampled_from(["\u0663", "1\u0664", "\u06f7"])
+
+
+def _padded(text_st):
+    return st.tuples(WHITESPACE, text_st, WHITESPACE).map("".join)
+
+
+descriptor_text_st = st.recursive(
+    st.one_of(
+        st.just("Z"),
+        NUMBER.map("Z/{}".format),
+        NUMBER.map("Z^{}".format),
+        NUMBER.map("F{}".format),
+        NUMBER.map("Fin({})".format),
+    ),
+    lambda children: st.one_of(
+        st.lists(_padded(children), min_size=2, max_size=3).map("(+)".join),
+        st.tuples(
+            _padded(children),
+            st.lists(_padded(NUMBER | st.just("")), min_size=1, max_size=3).map(",".join),
+        ).map(lambda t: f"Tower({t[0]};{t[1]})"),
+    ),
+    max_leaves=6,
+)
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from([None, " ", "\x1c", ",", ";", "(", ")", "(+)", "\u0663", "\u00b2"]),
+    ),
+    max_size=3,
+)
+
+
+def _outcome(parse, text):
+    try:
+        return ("value", parse(text))
+    except ValueError:
+        return ("error",)
+
+
+@settings(max_examples=400)
+@given(descriptor_text_st, EDITS)
+def test_parse_descriptor_matches_reference_parser(text, edits):
+    for at, token in edits:  # None deletes the character at that place
+        at %= len(text) + 1
+        text = text[:at] + (token or "") + text[at + (token is None) :]
+    assert _outcome(parse_descriptor, text) == _outcome(oracles.ref_parse_descriptor, text)
+
+
+def test_parse_descriptor_grammar_edges():
+    assert parse_descriptor(" Tower( Z/2 (+) Z/3 ;  2 ,, 3 ) (+) Z ") == direct_sum(Tower(Cyclic(6), (2, 3)), Free(1))
+    assert parse_descriptor("Z/\u0663") == Cyclic(3)
+    assert parse_descriptor("Fin(1)") == FiniteTagged(1) != Cyclic(1)
+    for bad in ("", "Z / 2", "Fin( 3)", "Tower (Z; 2)", "Tower(Z; 2", "Z; 2)", "Tower(Z;)", "Z (+)"):
+        with pytest.raises(ValueError, match="cannot parse group descriptor"):
+            parse_descriptor(bad)
+
+
+def test_parse_descriptor_depth_costs_no_recursion():
+    depth = 20_000
+    with deadline(1.0):
+        g = parse_descriptor("Tower(" * depth + "Z/2" + "; 2)" * depth)
+    levels = 0
+    while g.towers:
+        ((g, kernels),) = g.towers
+        assert kernels == (2,)
+        levels += 1
+    assert levels == depth
+    assert g == Cyclic(2)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        Cyclic,
+        Free,
+        FreeAbelian,
+        FiniteTagged,
+        lambda v: Tower(Cyclic(2), (2, v)),
+        lambda v: AbelianInvariants(v),
+        lambda v: AbelianInvariants(0, (2, v)),
+        lambda v: CurveDatum((2, v), EMPTY_MULTISET, Cyclic(1), PropertyFlags()),
+        lambda v: h1_from_degrees((2, v)),
+    ],
+    ids=["Cyclic", "Free", "FreeAbelian", "FiniteTagged", "Tower", "free_rank", "torsion", "CurveDatum", "h1"],
+)
+def test_constructors_reject_non_integers(build, value):
+    with pytest.raises(ValueError, match=f"must be integers, got {value!r}"):
+        build(value)
+
+
+@pytest.mark.parametrize("degree", [2.5, True])
+def test_seed_smooth_rejects_non_integer_degree(degree):
+    with pytest.raises(ValueError, match="must be integers"):
+        seed_smooth(degree)
 
 
 PRESENTATION = Presentation(("x", "y"), (Word.parse("x^2 y^-3"),))

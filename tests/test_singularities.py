@@ -144,6 +144,9 @@ def test_parse_rejects_garbage():
     for bad in ("", "[", "[]", "[2", "[2,]", "[2]x", "[(|[2]|)]", "[2_0]"):
         with pytest.raises(ValueError):
             parse_type(bad)
+    # a digit that is not decimal is not an integer, and says so by position
+    with pytest.raises(ValueError, match="position 1: expected an integer"):
+        parse_type("[\u00b2]")
 
 
 @given(types_st)
