@@ -85,8 +85,7 @@ def seed_smooth(degree: int) -> CurveDatum:
     Its complement has cyclic fundamental group Z/degree (trivial for a
     line).
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _require_ints("smooth curve degrees", (degree,), 1)
     group = Cyclic(degree)
     datum = CurveDatum(
         component_degrees=(degree,),
@@ -101,8 +100,7 @@ def seed_smooth(degree: int) -> CurveDatum:
 def seed_pencil(lines: int) -> CurveDatum:
     """m lines through a single point: one ordinary m-fold point [m], free
     fundamental group of rank m-1."""
-    if lines < 2:
-        raise ValueError(f"a pencil needs >= 2 lines, got {lines}")
+    _require_ints("pencil line counts", (lines,), 2)
     group = Free(lines - 1)
     datum = CurveDatum(
         component_degrees=(1,) * lines,
@@ -117,8 +115,7 @@ def seed_pencil(lines: int) -> CurveDatum:
 def seed_generic_lines(lines: int) -> CurveDatum:
     """m lines in general position: C(m,2) nodes, free abelian group of
     rank m-1.  Two generic lines coincide with the two-line pencil."""
-    if lines < 2:
-        raise ValueError(f"need >= 2 lines, got {lines}")
+    _require_ints("generic line counts", (lines,), 2)
     if lines == 2:
         return seed_pencil(2)
     group = FreeAbelian(lines - 1)

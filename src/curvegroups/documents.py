@@ -115,7 +115,7 @@ def group_from_json(data: dict) -> GroupDescriptor:
 
 def props_to_json(p: PropertyFlags) -> dict:
     out: dict[str, Any] = {name: getattr(p, name) for name in _TRISTATE_FIELDS}
-    out["p_group"] = p.p_group
+    out["p_group"] = None if p.p_group is None else encode_int(p.p_group)
     out["nilpotency_class"] = list(p.nilpotency_class) if p.nilpotency_class else None
     return out
 
@@ -124,6 +124,8 @@ def props_from_json(data: dict) -> PropertyFlags:
     kw = dict(data)
     cls = kw.get("nilpotency_class")
     kw["nilpotency_class"] = tuple(cls) if cls else None
+    if kw.get("p_group") is not None:
+        kw["p_group"] = decode_int(kw["p_group"])
     return PropertyFlags(**kw)
 
 

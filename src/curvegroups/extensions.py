@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from math import gcd, prod
+from itertools import chain, count
+from math import exp, gcd, isqrt, log, prod
 import re
 
 from .fpgroup import AbelianInvariants, Presentation, Word, _require_ints, commutator, generator
@@ -286,7 +287,8 @@ class PropertyFlags:
     """Tri-state property record: True, False, or None (unknown).
 
     ``p_group`` holds the prime p when the group is known to be a finite
-    p-group, else None.  ``nilpotency_class`` is an inclusive [lo, hi]
+    p-group, else None; a value :func:`_prime_power` shows composite is
+    rejected.  ``nilpotency_class`` is an inclusive [lo, hi]
     interval, present only when nilpotency is known.  Construction closes
     the flags under standard implications (cyclic => abelian => nilpotent
     => solvable, ...) and rejects contradictory assignments.
@@ -306,8 +308,11 @@ class PropertyFlags:
 
     def __post_init__(self):
         state = {name: getattr(self, name) for name in _TRISTATE_FIELDS}
-        if self.p_group is not None and self.p_group < 2:
-            raise ValueError("p_group prime must be >= 2")
+        p = self.p_group
+        if p is not None and not (type(p) is int and p in _SMALL_PRIME_SET):
+            _require_ints("p_group primes", (p,), 2)
+            if _is_composite(p):
+                raise ValueError(f"p_group must be a prime, got {p}")
         if self.nilpotency_class is not None:
             lo, hi = self.nilpotency_class
             if not (0 <= lo <= hi):
@@ -383,18 +388,120 @@ def _tri_all(values) -> bool | None:
     return True
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(2, n) if sieve[p])
+
+
+# The primes below 1,000, and the smallest strong pseudoprime psi_k to each
+# run of the first k prime bases 2, 3, 5, ..., 41 (OEIS A014233; psi_13 from
+# Sorenson and Webster, Math. Comp. 86 (2017)): below psi_k the first k bases
+# decide primality exactly.
+_SMALL_PRIMES = _primes_below(1000)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_MR_BASES = _SMALL_PRIMES[:13]
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_PSI13 = _PSI[-1]
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1 and k >= 2: Newton's method, started
+    from a 52-bit float estimate raised just above the root."""
+    if k == 2:
+        return isqrt(n)
+    shift = max(0, n.bit_length() // k - 52)
+    x = (int(exp(log(n >> k * shift) / k) * (1 + 2.0**-40)) + 2) << shift
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n with no prime factor below 1,000 and
+    1000 < n < psi_13, to just enough of the bases 2, 3, ..., 41 to be exact."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a, psi in zip(_MR_BASES, _PSI):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return True
+
+
 def _prime_power(n: int) -> int | None:
-    """The prime p when n = p^l with l >= 1, else None."""
+    """The prime p when n = p^l with l >= 1 is certified, else None.
+
+    No factoring: (1) trial division by the primes below 1,000, where a hit
+    p answers p or None and p^2 > n answers n; (2) otherwise n has no prime
+    factor below 1,000, so n = r^e forces e <= log n / log 1000, and exact
+    integer roots for those prime e reduce n to the root r that is not a
+    perfect power; (3) r is certified by deterministic Miller-Rabin when
+    r < psi_13 = 3,317,044,064,679,887,385,961,981, the smallest strong
+    pseudoprime to all thirteen prime bases 2..41.  A root r >= psi_13 is
+    not tested and answers None ("not known to be a p-group"), so a prime
+    is never returned uncertified.
+
+    >>> _prime_power(2 ** 40), _prime_power(1000003 ** 3), _prime_power(2047)
+    (2, 1000003, None)
+    >>> _prime_power(2 ** 127 - 1) is None
+    True
+    """
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n
         if n % p == 0:
             while n % p == 0:
                 n //= p
             return p if n == 1 else None
-        p += 1
-    return n
+    # every odd exponent past 997: a composite one only repeats work
+    exponents = chain(_SMALL_PRIMES, count(1001, 2))
+    e = next(exponents)
+    while 1000**e < n:  # a root r > 1000 needs n > 1000^e
+        r = _iroot(n, e)
+        if r**e == n:
+            n = r  # r may be an e-th power again; smaller exponents stay ruled out
+        else:
+            e = next(exponents)
+    return n if n < _PSI13 and _is_strong_probable_prime(n) else None
+
+
+def _is_composite(n: int) -> bool:
+    """True when n >= 2 is shown composite: exactly below psi_13, and above
+    it when a prime below 1,000 divides n or n is a power of a certified
+    prime.  False for primes and for what those tests cannot settle."""
+    p = _prime_power(n)
+    return p != n and (p is not None or n < _PSI13 or any(n % q == 0 for q in _SMALL_PRIMES))
 
 
 _ALL_TRUE = PropertyFlags(

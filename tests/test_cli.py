@@ -9,6 +9,8 @@ import pytest
 from curvegroups.cli import main
 from curvegroups.documents import parse_document
 
+from conftest import deadline
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -34,6 +36,41 @@ def test_seed_invalid_degree_fails(capsys):
     code, out, err = run_cli(capsys, "seed", "smooth", "--degree", "0")
     assert code != 0
     assert "degree" in err
+
+
+def test_seed_smooth_of_a_19_digit_prime_degree_finishes(capsys):
+    with deadline(2.0):
+        code, out, err = run_cli(capsys, "seed", "smooth", "--degree", "1000000000000000003")
+    assert code == 0, err
+    assert '"p_group": "1000000000000000003"' in out
+    assert parse_document(out)[0].props.p_group == 10**18 + 3
+
+
+@pytest.mark.parametrize(
+    "q,p_group",
+    [(999999999999999999999743, '"999999999999999999999743"'), (2**127 - 1, "null")],
+    ids=["24-digit-prime", "mersenne-127"],
+)
+def test_large_prime_order_seed_and_apply_finish(tmp_path, capsys, q, p_group):
+    seed = tmp_path / "seed.json"
+    with deadline(2.0):
+        code, _, err = run_cli(capsys, "seed", "custom", "--degrees", "4", "--group", f"Fin({q})", "--out", str(seed))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "apply", "general(1,2)", "--in", str(seed))
+        assert code == 0, err
+        assert '"p_group": null' in out
+        code, out, err = run_cli(capsys, "seed", "smooth", "--degree", str(q))
+    assert code == 0, err
+    assert f'"p_group": {p_group}' in out
+
+
+def test_seed_custom_rejects_a_composite_p_group(capsys):
+    code, out, err = run_cli(
+        capsys, "seed", "custom", "--degrees", "4", "--group", "Fin(16)", "--assertion", "p_group=4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad property assertion: p_group must be a prime, got 4\n"
 
 
 def test_seed_custom_with_assertions(capsys):

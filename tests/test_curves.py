@@ -20,6 +20,17 @@ from curvegroups.fpgroup import AbelianInvariants, abelianization
 from curvegroups.singularities import SingularityType, multiset
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize(
+    "seed,what",
+    [(seed_smooth, "smooth curve degrees"), (seed_pencil, "pencil line counts"), (seed_generic_lines, "generic line counts")],
+    ids=["smooth", "pencil", "generic-lines"],
+)
+def test_seeds_reject_non_integers_by_name(seed, what, value):
+    with pytest.raises(ValueError, match=f"^{what} must be integers, got {value!r}$"):
+        seed(value)
+
+
 def test_seed_smooth_line_is_simply_connected():
     c = seed_smooth(1)
     assert c.group == Cyclic(1)
