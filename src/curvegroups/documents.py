@@ -120,8 +120,11 @@ def props_to_json(p: PropertyFlags) -> dict:
     return out
 
 
-def props_from_json(data: dict) -> PropertyFlags:
+def props_from_json(data: dict, path: str) -> PropertyFlags:
     kw = dict(data)
+    unknown = sorted(kw.keys() - {*_TRISTATE_FIELDS, "p_group", "nilpotency_class"})
+    if unknown:
+        raise ValueError(f"{path}.{unknown[0]}: unknown key")
     cls = kw.get("nilpotency_class")
     kw["nilpotency_class"] = tuple(cls) if cls else None
     if kw.get("p_group") is not None:
@@ -150,12 +153,12 @@ def curve_to_json(c: CurveDatum) -> dict:
     }
 
 
-def curve_from_json(data: dict) -> CurveDatum:
+def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
     curve = CurveDatum(
         component_degrees=tuple(decode_int(d) for d in data["component_degrees"]),
         singularities=singularities_from_json(data["singularities"]),
         group=group_from_json(data["group"]),
-        props=props_from_json(data["props"]),
+        props=props_from_json(data["props"], f"{path}.props"),
         family_tag=data.get("family_tag"),
         log=tuple(
             LogEntry(e["seq"], e["op"], e["detail"]) for e in data.get("log", ())
@@ -213,8 +216,8 @@ def pair_to_json(record: ZariskiPairRecord) -> dict:
 def pair_from_json(data: dict) -> ZariskiPairRecord:
     spec = data.get("parent_spec")
     return ZariskiPairRecord(
-        left=curve_from_json(data["left"]),
-        right=curve_from_json(data["right"]),
+        left=curve_from_json(data["left"], "left"),
+        right=curve_from_json(data["right"], "right"),
         combinatorics_equal=data["combinatorics_equal"],
         distinguisher=data["distinguisher"],
         generation=data["generation"],

@@ -315,9 +315,10 @@ class PropertyFlags:
                 raise ValueError(f"p_group must be a prime, got {p}")
         if self.nilpotency_class is not None:
             lo, hi = self.nilpotency_class
-            if not (0 <= lo <= hi):
+            _require_ints("nilpotency class bounds", (lo, hi), 0)
+            if lo > hi:
                 raise ValueError(f"bad nilpotency class interval {self.nilpotency_class}")
-            object.__setattr__(self, "nilpotency_class", (int(lo), int(hi)))
+            object.__setattr__(self, "nilpotency_class", (lo, hi))
             state["nilpotent"] = _join(state["nilpotent"], True, "nilpotent")
         if self.p_group is not None and state["finite"] is True:
             state["nilpotent"] = _join(state["nilpotent"], True, "nilpotent")

@@ -14,8 +14,10 @@ display; runs of three or more equal multiplicities print abbreviated, so
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, "BlowdownEntry"]
@@ -163,6 +165,8 @@ def _format_run(value: int, count: int) -> str:
 
 
 def format_type(t: SingularityType, elide_ones: bool = False) -> str:
+    if not elide_ones and "_text" in t.__dict__:
+        return t._text
     runs = t.runs
     if elide_ones:
         kept = [(e, count) for e, count in runs if not isinstance(e, int) or e > 1]
@@ -175,87 +179,106 @@ def format_type(t: SingularityType, elide_ones: bool = False) -> str:
         else:
             inner = ",".join(f"|{format_type(c, elide_ones)}|" for c in e.clusters)
             parts.extend([f"{e.head},({inner})"] * count)
-    return "[" + ",".join(parts) + "]"
+    text = "[" + ",".join(parts) + "]"
+    if not elide_ones:
+        object.__setattr__(t, "_text", text)  # cached like type_key's _key
+    return text
 
 
-class _TypeParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# parsing, in one left-to-right pass.  An item is an integer, an optional
+# "_count" and what follows it: "," (another item), "]" (the type closes)
+# or ",(" (the integer is the head of a blow-down whose clusters follow);
+# whitespace may sit between any two tokens.  Open blow-downs wait on an
+# explicit stack, so nesting depth costs no stack frames.
 
-    def error(self, message: str):
-        return ValueError(f"bad singularity type at position {self.pos}: {message} in {self.text!r}")
+_ITEM = re.compile(r"\s*(?P<value>\d*)(?:\s*_\s*(?P<count>\d*))?\s*(?P<delim>,\s*\(|[,\]]?)")
+_NEXT = re.compile(r"\s*(.?)", re.DOTALL)  # the next non-space character, "" at the end
 
-    def skip_space(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+# parse_type interns short texts; types are immutable, so sharing is safe
+_INTERNED_TYPES = 1024
+_INTERNED_CHARS = 512
 
-    def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+def _error(text: str, pos: int, message: str) -> ValueError:
+    return ValueError(f"bad singularity type at position {pos}: {message} in {text!r}")
 
-    def integer(self) -> int:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
 
-    def parse_type(self) -> SingularityType:
-        self.expect("[")
-        runs: list[Run] = []
+def _expect(text: str, pos: int, ch: str) -> int:
+    m = _NEXT.match(text, pos)
+    if m[1] != ch:
+        raise _error(text, m.start(1), f"expected {ch!r}")
+    return m.end()
+
+
+def _parse(text: str) -> SingularityType:
+    open_downs: list[tuple[list[Run], int, list[SingularityType]]] = []  # (enclosing runs, head, clusters)
+    runs: list[Run] = []
+    pos = _expect(text, 0, "[")
+    while True:
+        m = _ITEM.match(text, pos)
+        if not m["value"]:
+            raise _error(text, m.start("value"), "expected an integer")
+        value, count, delim = int(m["value"]), m["count"], m["delim"]
+        if count is not None:
+            if not count:
+                raise _error(text, m.start("count"), "expected an integer")
+            count = int(count)
+            if count < 1:
+                raise _error(text, m.end("count"), "run length must be >= 1")
+        pos = m.end()
+        if not delim:
+            raise _error(text, pos, "expected ']'")
+        if len(delim) > 1:  # ",(" opens a blow-down, but not after a run
+            if count is not None:
+                raise _error(text, pos - 1, "expected an integer")
+            open_downs.append((runs, value, []))
+            runs = []
+            pos = _expect(text, _expect(text, pos, "|"), "[")
+            continue
+        runs.append((value, count or 1))
+        if delim == ",":
+            continue
+        # "]": close this type, then every blow-down and type that ends with it
         while True:
-            value = self.integer()
-            if self.peek() == "_":
-                self.pos += 1
-                count = self.integer()
-                if count < 1:
-                    raise self.error("run length must be >= 1")
-                runs.append((value, count))
-            elif self.peek() == ",":
-                save = self.pos
-                self.pos += 1
-                if self.peek() == "(":
-                    runs.append((self.parse_blowdown(value), 1))
-                else:
-                    self.pos = save
-                    runs.append((value, 1))
-            else:
-                runs.append((value, 1))
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            self.expect("]")
-            return SingularityType.from_runs(runs)
+            t = SingularityType.from_runs(runs)
+            if not open_downs:
+                m = _NEXT.match(text, pos)
+                if m[1]:
+                    raise _error(text, m.start(1), "trailing characters")
+                return t
+            runs, head, clusters = open_downs[-1]
+            clusters.append(t)
+            m = _NEXT.match(text, _expect(text, pos, "|"))
+            if m[1] == ",":
+                pos = _expect(text, _expect(text, m.end(), "|"), "[")
+                runs = []
+                break
+            if m[1] != ")":
+                raise _error(text, m.start(1), "expected ')'")
+            open_downs.pop()
+            runs.append((BlowdownEntry(head, tuple(clusters)), 1))
+            m = _NEXT.match(text, m.end())
+            pos = m.end()
+            if m[1] == ",":
+                break
+            if m[1] != "]":
+                raise _error(text, m.start(1), "expected ']'")
 
-    def parse_blowdown(self, head: int) -> BlowdownEntry:
-        self.expect("(")
-        clusters = []
-        while True:
-            self.expect("|")
-            clusters.append(self.parse_type())
-            self.expect("|")
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            self.expect(")")
-            return BlowdownEntry(head, tuple(clusters))
+
+_parse_interned = lru_cache(maxsize=_INTERNED_TYPES)(_parse)
 
 
 def parse_type(text: str) -> SingularityType:
-    parser = _TypeParser(text)
-    result = parser.parse_type()
-    parser.skip_space()
-    if parser.pos != len(text):
-        raise parser.error("trailing characters")
-    return result
+    """Parse the text form of a singularity type.  Texts up to
+    ``_INTERNED_CHARS`` characters are interned: the same text returns the
+    same object, from a cache of at most ``_INTERNED_TYPES`` entries.
+
+    >>> parse_type(" [ 6 , ( | [2_2] | , | [2] | ) ] ") == parse_type("[6,(|[2,2]|,|[2]|)]")
+    True
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"singularity types must be strings, got {text!r}")
+    return _parse_interned(text) if len(text) <= _INTERNED_CHARS else _parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ composition and deduplicating, partition counts by Euler's pentagonal
 recurrence, each construction's added singularities and Hirzebruch
 schedule by a separate rule per text form (replayed one elementary
 transformation at a time), singularity types entry by entry on their
-expanded sequences, group descriptors by one class per shape with
+expanded sequences, type text by recursive descent over runs, group descriptors by one class per shape with
 cyclic parts merged through prime factorisation, and descriptor text by
 splitting at top-level separators and matching each summand recursively.
 """
@@ -334,6 +334,92 @@ def ref_parse_type(text):
     parser = _RefTypeParser(text)
     result = parser.parse_type()
     parser.peek()
+    if parser.pos != len(text):
+        raise parser.error("trailing characters")
+    return result
+
+
+# Reference singularity-type parser: recursive descent one character at a
+# time, emitting "[v_c]" as one run, so it takes counts far beyond memory.
+# It recurses once per blow-down level, so keep inputs shallow.
+
+
+class _RunTypeParser:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        return ValueError(f"bad singularity type at position {self.pos}: {message} in {self.text!r}")
+
+    def skip_space(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_space()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self):
+        self.skip_space()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def parse_type(self):
+        self.expect("[")
+        runs = []
+        while True:
+            value = self.integer()
+            if self.peek() == "_":
+                self.pos += 1
+                count = self.integer()
+                if count < 1:
+                    raise self.error("run length must be >= 1")
+                runs.append((value, count))
+            elif self.peek() == ",":
+                save = self.pos
+                self.pos += 1
+                if self.peek() == "(":
+                    runs.append((self.parse_blowdown(value), 1))
+                else:
+                    self.pos = save
+                    runs.append((value, 1))
+            else:
+                runs.append((value, 1))
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect("]")
+            return SingularityType.from_runs(runs)
+
+    def parse_blowdown(self, head):
+        self.expect("(")
+        clusters = []
+        while True:
+            self.expect("|")
+            clusters.append(self.parse_type())
+            self.expect("|")
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect(")")
+            return BlowdownEntry(head, tuple(clusters))
+
+
+def ref_parse_type_runs(text):
+    """The library's type, parsed by recursive descent over runs."""
+    parser = _RunTypeParser(text)
+    result = parser.parse_type()
+    parser.skip_space()
     if parser.pos != len(text):
         raise parser.error("trailing characters")
     return result

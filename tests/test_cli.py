@@ -303,6 +303,39 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
     assert err.startswith("error: bad document: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda curve: curve.update(singularities=[5]), "singularity types must be strings, got 5"),
+        (lambda curve: curve["props"].update(x=[]), "curve.props.x: unknown key"),
+        (
+            lambda curve: curve["props"].update(nilpotency_class=[0.5, 1.5]),
+            "nilpotency class bounds must be integers, got 0.5",
+        ),
+    ],
+    ids=["non-string-type", "unknown-props-key", "fractional-nilpotency-class"],
+)
+def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
+    doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])
+    edit(doc["curve"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "apply", "uludag(1)", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad document: {message}\n"
+
+
+def test_deeply_nested_singularity_type_is_a_named_error(capsys):
+    # parses (parsing has no depth limit) but is too deep to print
+    depth = 5_000
+    text = "[2,(|" * depth + "[3]" + "|)]" * depth
+    code, out, err = run_cli(capsys, "seed", "custom", "--degrees", "6", "--group", "Z/6", "--singularity", text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input is nested too deeply\n"
+
+
 def test_group_nested_950_deep_round_trips(tmp_path):
     # a fresh process: the test runner's own stack would eat into the depth
     text = nested_towers(950)

@@ -1,6 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from conftest import deadline
+from curvegroups import singularities
 from curvegroups.singularities import (
     BlowdownEntry,
     SingularityType,
@@ -159,6 +162,122 @@ def test_canonical_print_is_fixed_point(t):
     # parse(print(t)) reprints identically: print output is the canonical form
     text = format_type(t)
     assert format_type(parse_type(text)) == text
+
+
+# Type text as the grammar allows it, with whitespace between any two
+# tokens, numbers in other scripts' decimal digits, "\u00b2", "_0" and counts
+# far beyond memory, then edited by inserting or deleting characters so that
+# many draws leave the language.
+WHITESPACE = st.sampled_from(["", "", " ", "\t", "\n", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f"])
+NUMBER = st.integers(1, 12).map(str) | st.sampled_from(["0", "\u0663", "1\u0664", "\u06f7", "\u00b2", "1000000000"])
+
+
+def _padded(text_st):
+    return st.tuples(WHITESPACE, text_st, WHITESPACE).map("".join)
+
+
+def _type_text(items):
+    return _padded(st.lists(items, min_size=1, max_size=3).map(lambda parts: "[" + ",".join(parts) + "]"))
+
+
+_plain_items = _padded(NUMBER) | st.tuples(_padded(NUMBER), _padded(NUMBER)).map("_".join)
+
+
+def _blowdown_items(children):
+    clusters = st.lists(_padded(children.map("|{}|".format)), min_size=1, max_size=3).map(",".join)
+    return st.tuples(_padded(NUMBER), WHITESPACE, clusters).map(lambda t: f"{t[0]},{t[1]}({t[2]})")
+
+
+type_text_st = st.recursive(
+    _type_text(_plain_items),
+    lambda children: _type_text(_plain_items | _blowdown_items(children)),
+    max_leaves=8,
+)
+TYPE_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from([None, " ", "\u3000", "\x1c", ",", "(", "|", "]", "[", "_", "_0", "\u0663", "\u00b2"]),
+    ),
+    max_size=3,
+)
+
+
+def _outcome(parse, text):
+    try:
+        t = parse(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("value", t.runs)
+
+
+@settings(max_examples=400)
+@given(type_text_st, TYPE_EDITS)
+def test_parse_type_matches_the_recursive_reference_parser(text, edits):
+    for at, token in edits:  # None deletes the character at that place
+        at %= len(text) + 1
+        text = text[:at] + (token or "") + text[at + (token is None) :]
+    assert _outcome(parse_type, text) == _outcome(oracles.ref_parse_type_runs, text)
+
+
+def test_parse_type_grammar_edges():
+    assert parse_type(" [ 6 ,\u3000( | [ 2 _ 2 ] | ,\x1c|[2]| ) ] ") == parse_type("[6,(|[2,2]|,|[2]|)]")
+    assert parse_type("[\u0663_\u0662]") == SingularityType((3, 3))
+    assert parse_type("[2_1000000000]").runs == ((2, 10**9),)
+    with pytest.raises(ValueError, match="position 4: run length must be >= 1"):
+        parse_type("[2_0]")
+    with pytest.raises(ValueError, match="position 6: expected an integer"):
+        parse_type("[2_3, (|[2]|)]")
+
+
+@pytest.mark.parametrize("bad", [5, None, b"[2]", ["[2]"]], ids=repr)
+def test_parse_type_rejects_non_strings(bad):
+    with pytest.raises(ValueError, match="singularity types must be strings, got "):
+        parse_type(bad)
+
+
+def test_parse_type_interns_by_text():
+    text = "[7,(|[3_4]|,|[2]|)]"
+    assert parse_type(text) is parse_type(text)
+    assert parse_type(text) is not parse_type(" " + text)  # keyed by text, not by value
+    assert parse_type(text) == parse_type(" " + text)
+
+
+def test_parse_type_never_caches_a_rejection():
+    before = singularities._parse_interned.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="expected '\\]'"):
+            parse_type("[2,3")
+    assert singularities._parse_interned.cache_info().currsize == before
+
+
+def test_parse_type_bypasses_the_cache_past_the_length_cap():
+    text = "[" + ",".join(["2,3"] * (singularities._INTERNED_CHARS // 4)) + "]"
+    assert len(text) > singularities._INTERNED_CHARS
+    assert parse_type(text) is not parse_type(text)
+    assert parse_type(text) == parse_type(text)
+    short = text[: singularities._INTERNED_CHARS - 1].rsplit(",", 1)[0] + "]"
+    assert parse_type(short) is parse_type(short)
+
+
+def test_parse_type_cache_is_bounded():
+    bound = singularities._INTERNED_TYPES
+    for n in range(1, bound + 50):
+        parse_type(f"[{n},1]")
+    info = singularities._parse_interned.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
+def test_parse_type_depth_costs_no_recursion():
+    depth = 20_000
+    with deadline(1.0):
+        t = parse_type("[2,(|" * depth + "[3]" + "|)]" * depth)
+    levels = 0
+    while t.runs != ((3, 1),):
+        ((entry, count),) = t.runs
+        assert (entry.head, count) == (2, 1)
+        (t,) = entry.clusters
+        levels += 1
+    assert levels == depth
 
 
 # ---------------------------------------------------------------------------
