@@ -5,6 +5,7 @@ from curvegroups.fpgroup import Word, cyclic_quotient_order, smith_normal_form
 from curvegroups.meridians import (
     elem_first,
     elem_second,
+    generator_for_label,
     init_state,
     max_index,
     replay,
@@ -21,6 +22,28 @@ def expected_raised_word(k, n, i):
     """(b a1 ... ak)^n * ai, written out letter for letter."""
     block = ["b"] + [f"a{j}" for j in range(1, k + 1)]
     return letters(*(block * n + [f"a{i}"]))
+
+
+# ---------------------------------------------------------------------------
+# fiber labels
+
+
+@pytest.mark.parametrize(
+    "label, name",
+    [
+        ("P", "b"),
+        ("P12", "b12"),
+        ("P\u0663", "b\u0663"),  # an Arabic-Indic digit is a decimal digit
+        ("Q", "Q"),
+        ("Q3", "a3"),
+        ("L", "a"),
+        ("L1", "L1"),
+        ("X", "X"),
+        ("Pa", "Pa"),
+    ],
+)
+def test_generator_for_label(label, name):
+    assert generator_for_label(label) == name
 
 
 # ---------------------------------------------------------------------------
