@@ -69,7 +69,6 @@ from .meridians import (
     elem_second,
     init_state,
     replay,
-    run_schedule,
     trace_lines,
 )
 from .singularities import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import documents
@@ -39,7 +38,7 @@ def _read_document(path: str | None):
             raise CommandError(f"cannot read document: {exc}")
     try:
         return documents.parse_document(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise CommandError(f"bad document: {exc}")
 
 
@@ -114,7 +113,7 @@ def _cmd_apply(args) -> int:
     curve, _ = _read_document(args.input)
     report = audit_self_intersection(curve.degree, spec)
     if args.audit_only:
-        _write(json.dumps(documents.audit_to_json(report), sort_keys=True, indent=2) + "\n", args.out)
+        _write(documents.render_json(documents.audit_to_json(report)), args.out)
         return 0
     result = apply_construction(curve, spec)
     reports = {"audit": documents.audit_to_json(report)}
@@ -127,7 +126,7 @@ def _cmd_apply(args) -> int:
 def _cmd_audit(args) -> int:
     spec = parse_spec(args.spec)
     report = audit_self_intersection(args.degree, spec)
-    _write(json.dumps(documents.audit_to_json(report), sort_keys=True, indent=2) + "\n", args.out)
+    _write(documents.render_json(documents.audit_to_json(report)), args.out)
     return 0
 
 
@@ -137,7 +136,7 @@ def _cmd_meridians(args) -> int:
     if args.trace:
         _write("\n".join(trace_lines(state)) + "\n", args.out)
     else:
-        _write(json.dumps(documents.meridians_to_json(state), sort_keys=True, indent=2) + "\n", args.out)
+        _write(documents.render_json(documents.meridians_to_json(state)), args.out)
     return 0
 
 
@@ -148,12 +147,12 @@ def _cmd_zariski(args) -> int:
     if args.enumerate is not None:
         records = enumerate_family(pair, args.enumerate)
         payload = [documents.pair_to_json(r) for r in records]
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _write(documents.render_json(payload), args.out)
         return 0
     if args.spec is None:
         raise CommandError("zariski requires either --spec or --enumerate")
     record = lift_pair(pair, parse_spec(args.spec))
-    _write(json.dumps(documents.pair_to_json(record), sort_keys=True, indent=2) + "\n", args.out)
+    _write(documents.render_json(documents.pair_to_json(record)), args.out)
     return 0
 
 

@@ -28,8 +28,8 @@ from .extensions import (
     summands,
 )
 from .fpgroup import Presentation, Word
-from .meridians import MeridianState
-from .singularities import SingularityMultiset, format_type, multiset, parse_type
+from .meridians import MeridianState, _format_trace
+from .singularities import format_type, multiset, parse_type
 from .zariski import ZariskiPairRecord
 
 SCHEMA_VERSION = "1"
@@ -45,6 +45,16 @@ def decode_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected an integer or decimal string, got {value!r}")
     return int(value)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", type(None): "null"}
+
+
+def _expect(value, kind: type, path: str):
+    if type(value) is not kind:
+        got = _JSON_TYPES.get(type(value), repr(value))
+        raise ValueError(f"{path}: expected {_JSON_TYPES[kind]}, got {got}")
+    return value
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -121,7 +131,7 @@ def props_to_json(p: PropertyFlags) -> dict:
 
 
 def props_from_json(data: dict, path: str) -> PropertyFlags:
-    kw = dict(data)
+    kw = dict(_expect(data, dict, path))
     unknown = sorted(kw.keys() - {*_TRISTATE_FIELDS, "p_group", "nilpotency_class"})
     if unknown:
         raise ValueError(f"{path}.{unknown[0]}: unknown key")
@@ -132,20 +142,12 @@ def props_from_json(data: dict, path: str) -> PropertyFlags:
     return PropertyFlags(**kw)
 
 
-def singularities_to_json(s: SingularityMultiset) -> list[str]:
-    return [format_type(t) for t in s]
-
-
-def singularities_from_json(items) -> SingularityMultiset:
-    return multiset(parse_type(t) for t in items)
-
-
 def curve_to_json(c: CurveDatum) -> dict:
     return {
         "component_degrees": [encode_int(d) for d in c.component_degrees],
         "degree": encode_int(c.degree),
         "irreducible": c.irreducible,
-        "singularities": singularities_to_json(c.singularities),
+        "singularities": [format_type(t) for t in c.singularities],
         "group": group_to_json(c.group),
         "props": props_to_json(c.props),
         "family_tag": c.family_tag,
@@ -154,10 +156,11 @@ def curve_to_json(c: CurveDatum) -> dict:
 
 
 def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
+    degrees = _expect(data["component_degrees"], list, f"{path}.component_degrees")
     curve = CurveDatum(
-        component_degrees=tuple(decode_int(d) for d in data["component_degrees"]),
-        singularities=singularities_from_json(data["singularities"]),
-        group=group_from_json(data["group"]),
+        component_degrees=tuple(decode_int(d) for d in degrees),
+        singularities=multiset(parse_type(t) for t in data["singularities"]),
+        group=group_from_json(_expect(data["group"], dict, f"{path}.group")),
         props=props_from_json(data["props"], f"{path}.props"),
         family_tag=data.get("family_tag"),
         log=tuple(
@@ -197,7 +200,7 @@ def meridians_to_json(state: MeridianState) -> dict:
     return {
         "exceptional": str(state.exceptional),
         "fibers": {label: str(word) for label, word in state.fibers},
-        "trace": list(state.trace),
+        "trace": _format_trace(state.trace),
     }
 
 
@@ -225,11 +228,16 @@ def pair_from_json(data: dict) -> ZariskiPairRecord:
     )
 
 
+def render_json(payload) -> str:
+    """The text of a JSON document: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def render_document(curve: CurveDatum, reports: dict | None = None) -> str:
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "curve": curve_to_json(curve)}
     if reports:
         doc["reports"] = reports
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return render_json(doc)
 
 
 def parse_document(text: str) -> tuple[CurveDatum, dict]:

@@ -10,9 +10,11 @@ therefore ends in closed form: a fiber raised n times carries
 (``(b a1..ak)^{n_i} a_i`` for the general layout), and every other fiber
 keeps its generator.  :func:`replay` builds that final state directly, so
 its cost does not grow with the counts beyond the size of the words and
-the one-line-per-step trace; :func:`elem_first` and :func:`elem_second`
-remain as the single steps it summarises.  The words are the relators that
-feed the group-theoretic side of the construction engine.
+the trace, one ``(index, kind, fiber)`` record per step (``kind`` is
+``init``, ``type1`` or ``type2``; text only at the edge, in :func:`trace_lines`
+and ``documents.meridians_to_json``).  :func:`elem_first` and
+:func:`elem_second` remain as the single steps it summarises.  The words are
+the relators that feed the group-theoretic side of the construction engine.
 
 Fiber labels follow the construction layouts: ``P``/``P1..Pl`` for the
 lowering fibers (meridian generators ``b``, ``b1..bl``), ``Q1..Qk`` for the
@@ -22,34 +24,33 @@ single-fiber schedule.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .constructions import ConstructionSpec
 from .fpgroup import Word, free_reduce, generator
 
-_LABEL_GENERATORS = (
-    (re.compile(r"^P$"), lambda m: "b"),
-    (re.compile(r"^P(\d+)$"), lambda m: f"b{m.group(1)}"),
-    (re.compile(r"^Q(\d+)$"), lambda m: f"a{m.group(1)}"),
-    (re.compile(r"^L$"), lambda m: "a"),
-)
-
-
 def generator_for_label(label: str) -> str:
-    for pattern, name in _LABEL_GENERATORS:
-        m = pattern.match(label)
-        if m:
-            return name(m)
+    """``P``, ``Pn``, ``Qn``, ``L`` -> ``b``, ``bn``, ``an``, ``a`` (n any decimal
+    digits); any other label is its own generator."""
+    head, index = label[:1], label[1:]
+    if label in ("P", "L") or head in ("P", "Q") and index.isdecimal():
+        return ("b" if head == "P" else "a") + index
     return label
 
 
 @dataclass(frozen=True)
 class MeridianState:
+    """Surface index, exceptional meridian and fiber words after some steps.
+    ``trace`` holds one ``(index, kind, fiber)`` record per step, with ``kind``
+    ``"init"`` (``(1, "init", "<labels joined by spaces>")``), ``"type1"`` or
+    ``"type2"`` and the index the step reaches.  Only :func:`trace_lines` and
+    ``documents.meridians_to_json`` render it as text."""
+
     index: int
     exceptional: Word
     fibers: tuple[tuple[str, Word], ...]
-    trace: tuple[str, ...] = ()
+    trace: tuple[tuple[int, str, str], ...] = ()
 
     def __post_init__(self):
         if self.index < 1:
@@ -79,8 +80,7 @@ def init_state(line_labels) -> MeridianState:
         raise ValueError(f"duplicate fiber labels in {labels}")
     fibers = tuple((label, generator(generator_for_label(label))) for label in labels)
     exceptional = Word(tuple((generator_for_label(label), 1) for label in labels))
-    trace = (f"F1 init {' '.join(labels)}",)
-    return MeridianState(1, exceptional, fibers, trace)
+    return MeridianState(1, exceptional, fibers, ((1, "init", " ".join(labels)),))
 
 
 def elem_first(state: MeridianState, fiber: str) -> MeridianState:
@@ -92,9 +92,7 @@ def elem_first(state: MeridianState, fiber: str) -> MeridianState:
         (label, new_word if label == fiber else word) for label, word in state.fibers
     )
     index = state.index + 1
-    return MeridianState(
-        index, state.exceptional, fibers, state.trace + (f"F{index} type1 {fiber}",)
-    )
+    return MeridianState(index, state.exceptional, fibers, state.trace + ((index, "type1", fiber),))
 
 
 def elem_second(state: MeridianState, fiber: str) -> MeridianState:
@@ -103,9 +101,7 @@ def elem_second(state: MeridianState, fiber: str) -> MeridianState:
     if state.index < 2:
         raise ValueError("cannot lower the Hirzebruch index below 1")
     index = state.index - 1
-    return MeridianState(
-        index, state.exceptional, state.fibers, state.trace + (f"F{index} type2 {fiber}",)
-    )
+    return MeridianState(index, state.exceptional, state.fibers, state.trace + ((index, "type2", fiber),))
 
 
 def _schedule(spec: ConstructionSpec):
@@ -143,28 +139,25 @@ def replay(spec: ConstructionSpec) -> MeridianState:
     trace = list(start.trace)
     index = 1
     for fiber, n in raising:
-        trace += [f"F{i} type1 {fiber}" for i in range(index + 1, index + n + 1)]
+        trace += zip(range(index + 1, index + n + 1), repeat("type1"), repeat(fiber))
         index += n
     for fiber, m in lowering:
-        trace += [f"F{i} type2 {fiber}" for i in range(index - 1, index - m - 1, -1)]
+        trace += zip(range(index - 1, index - m - 1, -1), repeat("type2"), repeat(fiber))
         index -= m
     return MeridianState(index, start.exceptional, fibers, tuple(trace))
 
 
-def run_schedule(spec: ConstructionSpec) -> dict[str, Word]:
-    """Final meridian word of every fiber after the construction's schedule."""
-    return replay(spec).words()
-
-
 def max_index(state: MeridianState) -> int:
     """Largest Hirzebruch index reached along a replayed trace."""
-    return max(int(m.group(1)) for line in state.trace for m in [re.match(r"^F(\d+) ", line)] if m)
+    return max(index for index, _, _ in state.trace)
+
+
+def _format_trace(trace) -> list[str]:
+    """The text form of trace records, one ``F<index> <kind> <fiber>`` line each."""
+    return [f"F{index} {kind} {fiber}" for index, kind, fiber in trace]
 
 
 def trace_lines(state: MeridianState) -> list[str]:
     """Line-oriented schedule log plus the final meridian word table."""
-    lines = list(state.trace)
-    lines.append(f"E = {state.exceptional}")
-    for label, word in state.fibers:
-        lines.append(f"{label} = {word}")
-    return lines
+    table = [("E", state.exceptional), *state.fibers]
+    return _format_trace(state.trace) + [f"{label} = {word}" for label, word in table]

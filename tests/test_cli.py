@@ -312,8 +312,21 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
             lambda curve: curve["props"].update(nilpotency_class=[0.5, 1.5]),
             "nilpotency class bounds must be integers, got 0.5",
         ),
+        (lambda curve: curve.update(group=None), "curve.group: expected an object, got null"),
+        (lambda curve: curve.update(props=[]), "curve.props: expected an object, got an array"),
+        (
+            lambda curve: curve.update(component_degrees="2"),
+            "curve.component_degrees: expected an array, got a string",
+        ),
     ],
-    ids=["non-string-type", "unknown-props-key", "fractional-nilpotency-class"],
+    ids=[
+        "non-string-type",
+        "unknown-props-key",
+        "fractional-nilpotency-class",
+        "null-group",
+        "props-not-an-object",
+        "component-degrees-not-a-list",
+    ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
     doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])

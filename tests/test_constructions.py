@@ -23,7 +23,7 @@ from curvegroups.constructions import (
 )
 from curvegroups.curves import h1_from_degrees, seed_generic_lines, seed_pencil, seed_smooth
 from curvegroups.extensions import Cyclic, Free, FreeAbelian, Tower, direct_sum, order_of
-from curvegroups.meridians import elem_first, elem_second, init_state, replay
+from curvegroups.meridians import elem_first, elem_second, init_state, max_index, replay
 from curvegroups.singularities import SingularityType, blowdown_type, drop, multiset, parse_type
 
 
@@ -241,10 +241,12 @@ def test_schedules_match_the_per_form_reference():
             assert report.variant_residual == variant
 
 
+LONGER_SCHEDULES = [("general", ((40, 25, 7),)), ("special", (30,)), ("mixed", ((20, 13), (11, 22)))]
+
+
 def test_closed_form_replay_matches_the_stepwise_replay():
     # letter for letter, not only up to free reduction
-    longer = [("general", ((40, 25, 7),)), ("special", (30,)), ("mixed", ((20, 13), (11, 22)))]
-    for form, args in list(schedule_grid()) + longer:
+    for form, args in list(schedule_grid()) + LONGER_SCHEDULES:
         replayed = replay(CONSTRUCTORS[form](*args))
         expected = oracles.stepwise_replay(form, *args)
         assert replayed.index == expected.index == 1
@@ -252,6 +254,19 @@ def test_closed_form_replay_matches_the_stepwise_replay():
         assert replayed.exceptional.letters == expected.exceptional.letters
         assert [w.letters for _, w in replayed.fibers] == [w.letters for _, w in expected.fibers]
         assert replayed.trace == expected.trace
+
+
+def test_replay_trace_records_one_step_each():
+    # the tracer reads len(trace) - 1 as the step count of a replay
+    for form, args in list(schedule_grid()) + LONGER_SCHEDULES:
+        spec = CONSTRUCTORS[form](*args)
+        state = replay(spec)
+        raised = sum(spec.raise_counts)
+        assert len(state.trace) - 1 == raised + sum(spec.lower_counts)
+        assert max_index(state) == raised + 1
+        labels, steps = oracles.REFERENCE_SCHEDULE[form](*args)
+        assert state.trace[0] == (1, "init", " ".join(labels))
+        assert [(kind, fiber) for _, kind, fiber in state.trace[1:]] == list(steps)
 
 
 def test_added_singularities_degree_one_bookkeeping():
