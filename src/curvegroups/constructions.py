@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace
 
 from .curves import CurveDatum
 from .extensions import (
+    GroupDescriptor,
+    PropertyFlags,
     central_extend,
     propagate_properties,
     props_from_descriptor,
@@ -255,14 +257,36 @@ def apply(curve: CurveDatum, spec: ConstructionSpec) -> CurveDatum:
     The component count is preserved and every component degree scales by
     the same N, because a single global birational map carries each
     component to its transform.
+
+    The work falls into two steps.  The group step reads only the curve's
+    group, flags, irreducibility and family tag, and N; the combinatorial
+    step reads only the degrees, singularities and log, the spec, and the
+    added multiset, which depends on the degree and the spec alone.  So
+    :mod:`.zariski` can compute the group step once per N and the added
+    multiset once per spec, and hand them to the combinatorial step.
     """
-    n = spec.kernel_order
+    group, props = _group_step(curve, spec.kernel_order)
+    return _combinatorial_step(curve, spec, added_singularities(curve.degree, spec), group, props)
+
+
+def _group_step(curve: CurveDatum, n: int) -> tuple[GroupDescriptor, PropertyFlags]:
     group = central_extend(
         curve.group, n, irreducible=curve.irreducible, family_tag=curve.family_tag
     )
     props = propagate_properties(curve.props, n)
-    props = props.merged(props_from_descriptor(group))
-    added = added_singularities(curve.degree, spec)
+    return group, props.merged(props_from_descriptor(group))
+
+
+def _combinatorial_step(
+    curve: CurveDatum,
+    spec: ConstructionSpec,
+    added: SingularityMultiset,
+    group: GroupDescriptor,
+    props: PropertyFlags,
+) -> CurveDatum:
+    # ``added`` must be added_singularities(curve.degree, spec), and
+    # (group, props) must be _group_step(curve, spec.kernel_order)
+    n = spec.kernel_order
     report = _audit(curve.degree, spec, added)
     detail = f"{format_spec(spec)} N={n} degree {curve.degree}->{curve.degree * n} audit={report.verdict}"
     if report.variant_residual is not None:

@@ -30,6 +30,11 @@ from .singularities import (
 )
 
 
+def _assert_detail(asserted: PropertyFlags, reason: str) -> str:
+    flags = ", ".join(f"{k}={v}" for k, v in asserted.known().items())
+    return f"{flags} ({reason})"
+
+
 @dataclass(frozen=True)
 class LogEntry:
     seq: int
@@ -66,10 +71,8 @@ class CurveDatum:
         return replace(self, log=self.log + (entry,))
 
     def with_asserted_props(self, asserted: PropertyFlags, reason: str) -> "CurveDatum":
-        merged = self.props.merged(asserted)
-        flags = ", ".join(f"{k}={v}" for k, v in asserted.known().items())
-        out = replace(self, props=merged)
-        return out.logged("assert", f"{flags} ({reason})")
+        out = replace(self, props=self.props.merged(asserted))
+        return out.logged("assert", _assert_detail(asserted, reason))
 
     def __str__(self) -> str:
         comps = ",".join(str(d) for d in self.component_degrees)

@@ -50,11 +50,21 @@ def decode_int(value) -> int:
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", type(None): "null"}
 
 
+def _got(value) -> str:
+    return _JSON_TYPES.get(type(value), repr(value))
+
+
 def _expect(value, kind: type, path: str):
     if type(value) is not kind:
-        got = _JSON_TYPES.get(type(value), repr(value))
-        raise ValueError(f"{path}: expected {_JSON_TYPES[kind]}, got {got}")
+        raise ValueError(f"{path}: expected {_JSON_TYPES[kind]}, got {_got(value)}")
     return value
+
+
+def _key(data: dict, key: str, path: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{path}.{key}: missing key") from None
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -65,9 +75,16 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> Presentation:
+    return _presentation_from_json(data, "presentation")
+
+
+def _presentation_from_json(data, path: str) -> Presentation:
+    _expect(data, dict, path)
+    gens = _expect(_key(data, "generators", path), list, f"{path}.generators")
+    rels = _expect(_key(data, "relators", path), list, f"{path}.relators")
     return Presentation(
-        tuple(data["generators"]),
-        tuple(Word.parse(r) for r in data["relators"]),
+        tuple(_expect(g, str, f"{path}.generators[{i}]") for i, g in enumerate(gens)),
+        tuple(Word.parse(_expect(r, str, f"{path}.relators[{i}]")) for i, r in enumerate(rels)),
     )
 
 
@@ -86,28 +103,29 @@ def _group_tree(g: GroupDescriptor) -> dict:
     return trees[0] if len(trees) == 1 else {"kind": "direct-sum", "parts": trees}
 
 
-def _group_from_tree(data: dict) -> GroupDescriptor:
-    kind = data["kind"]
+def _group_from_tree(data, path: str) -> GroupDescriptor:
+    kind = _key(_expect(data, dict, path), "kind", path)
     if kind == "cyclic":
-        return Cyclic(decode_int(data["order"]))
+        return Cyclic(decode_int(_key(data, "order", path)))
     if kind == "free":
-        return Free(decode_int(data["rank"]))
+        return Free(decode_int(_key(data, "rank", path)))
     if kind == "free-abelian":
-        return FreeAbelian(decode_int(data["rank"]))
+        return FreeAbelian(decode_int(_key(data, "rank", path)))
     if kind == "finite":
         pres = data.get("presentation")
         return FiniteTagged(
-            decode_int(data["order"]),
-            None if pres is None else presentation_from_json(pres),
+            decode_int(_key(data, "order", path)),
+            None if pres is None else _presentation_from_json(pres, f"{path}.presentation"),
         )
     if kind == "direct-sum":
-        if len(data["parts"]) < 2:
+        parts = _expect(_key(data, "parts", path), list, f"{path}.parts")
+        if len(parts) < 2:
             raise ValueError("a direct sum needs at least two parts")
-        return direct_sum(*(_group_from_tree(p) for p in data["parts"]))
+        return direct_sum(*(_group_from_tree(p, f"{path}.parts[{i}]") for i, p in enumerate(parts)))
     if kind == "tower":
         return Tower(
-            _group_from_tree(data["base"]),
-            tuple(decode_int(n) for n in data["kernels"]),
+            _group_from_tree(_key(data, "base", path), f"{path}.base"),
+            tuple(decode_int(n) for n in _expect(_key(data, "kernels", path), list, f"{path}.kernels")),
         )
     raise ValueError(f"unknown group kind {kind!r}")
 
@@ -118,9 +136,14 @@ def group_to_json(g: GroupDescriptor) -> dict:
 
 
 def group_from_json(data: dict) -> GroupDescriptor:
+    return _group_from_json(data, "group")
+
+
+def _group_from_json(data, path: str) -> GroupDescriptor:
+    _expect(data, dict, path)
     if "tree" in data:
-        return _group_from_tree(data["tree"])
-    return parse_descriptor(data["form"])
+        return _group_from_tree(data["tree"], f"{path}.tree")
+    return parse_descriptor(_expect(_key(data, "form", path), str, f"{path}.form"))
 
 
 def props_to_json(p: PropertyFlags) -> dict:
@@ -135,8 +158,14 @@ def props_from_json(data: dict, path: str) -> PropertyFlags:
     unknown = sorted(kw.keys() - {*_TRISTATE_FIELDS, "p_group", "nilpotency_class"})
     if unknown:
         raise ValueError(f"{path}.{unknown[0]}: unknown key")
+    for name in _TRISTATE_FIELDS:
+        value = kw.get(name)
+        if value is not None and type(value) is not bool:
+            raise ValueError(f"{path}.{name}: expected true, false or null, got {_got(value)}")
     cls = kw.get("nilpotency_class")
-    kw["nilpotency_class"] = tuple(cls) if cls else None
+    if cls is not None:
+        cls = tuple(_expect(cls, list, f"{path}.nilpotency_class"))
+    kw["nilpotency_class"] = cls or None
     if kw.get("p_group") is not None:
         kw["p_group"] = decode_int(kw["p_group"])
     return PropertyFlags(**kw)
@@ -156,21 +185,32 @@ def curve_to_json(c: CurveDatum) -> dict:
 
 
 def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
-    degrees = _expect(data["component_degrees"], list, f"{path}.component_degrees")
+    _expect(data, dict, path)
+    degrees = _expect(_key(data, "component_degrees", path), list, f"{path}.component_degrees")
+    types = _expect(_key(data, "singularities", path), list, f"{path}.singularities")
     curve = CurveDatum(
         component_degrees=tuple(decode_int(d) for d in degrees),
-        singularities=multiset(parse_type(t) for t in data["singularities"]),
-        group=group_from_json(_expect(data["group"], dict, f"{path}.group")),
-        props=props_from_json(data["props"], f"{path}.props"),
+        singularities=multiset(parse_type(t) for t in types),
+        group=_group_from_json(_key(data, "group", path), f"{path}.group"),
+        props=props_from_json(_key(data, "props", path), f"{path}.props"),
         family_tag=data.get("family_tag"),
-        log=tuple(
-            LogEntry(e["seq"], e["op"], e["detail"]) for e in data.get("log", ())
-        ),
+        log=_log_from_json(data.get("log", []), f"{path}.log"),
     )
-    declared = decode_int(data["degree"])
+    declared = decode_int(_key(data, "degree", path))
     if declared != curve.degree:
         raise ValueError(f"document degree {declared} does not match component degrees")
     return curve
+
+
+def _log_from_json(entries, path: str) -> tuple[LogEntry, ...]:
+    try:
+        return tuple(LogEntry(e["seq"], e["op"], e["detail"]) for e in _expect(entries, list, path))
+    except (TypeError, KeyError):
+        # checked only on failure: logs grow by one entry per step
+        for i, e in enumerate(entries):
+            for key in ("seq", "op", "detail"):
+                _key(_expect(e, dict, f"{path}[{i}]"), key, f"{path}[{i}]")
+        raise
 
 
 def audit_to_json(report: AuditReport) -> dict:
@@ -242,7 +282,7 @@ def render_document(curve: CurveDatum, reports: dict | None = None) -> str:
 
 def parse_document(text: str) -> tuple[CurveDatum, dict]:
     try:
-        data = json.loads(text)
+        data = _expect(json.loads(text), dict, "document")
         if "schema_version" not in data:
             raise ValueError("document is missing schema_version")
         if data["schema_version"] != SCHEMA_VERSION:

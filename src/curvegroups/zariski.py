@@ -13,12 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import ConstructionSpec, General, apply, format_spec
-from .curves import CurveDatum
+from .constructions import (
+    ConstructionSpec,
+    General,
+    _combinatorial_step,
+    _group_step,
+    added_singularities,
+    format_spec,
+)
+from .curves import CurveDatum, _assert_detail
 from .extensions import GroupDescriptor, PropertyFlags, props_from_descriptor, summands
 
 DISTINGUISHER_CYCLIC = "cyclic-vs-noncyclic"
 DISTINGUISHER_NONE = "none"
+
+_NONCYCLIC = PropertyFlags(cyclic=False)
+_NONCYCLIC_DETAIL = _assert_detail(_NONCYCLIC, "a central extension of a non-cyclic group is never cyclic")
 
 
 @dataclass(frozen=True)
@@ -94,12 +104,22 @@ def lift_pair(pair: ZariskiPairRecord, spec: ConstructionSpec) -> ZariskiPairRec
     The result is again a distinguished pair, one generation deeper.
     """
     _check_liftable(pair)
-    left = apply(pair.left, spec)
-    right = apply(pair.right, spec)
-    right = right.with_asserted_props(
-        PropertyFlags(cyclic=False),
-        "a central extension of a non-cyclic group is never cyclic",
-    )
+    return _lift(pair, spec, {})
+
+
+def _lift(pair: ZariskiPairRecord, spec: ConstructionSpec, steps: dict) -> ZariskiPairRecord:
+    # ``pair`` has passed _check_liftable; ``steps`` maps a kernel order N to
+    # both sides' group steps for this pair, and is filled on first use
+    n = spec.kernel_order
+    if n not in steps:
+        left_step = _group_step(pair.left, n)
+        right_group, right_props = _group_step(pair.right, n)
+        steps[n] = left_step, (right_group, right_props.merged(_NONCYCLIC))
+    left_step, right_step = steps[n]
+    # equal combinatorics give both sides one degree, hence one added multiset
+    added = added_singularities(pair.left.degree, spec)
+    left = _combinatorial_step(pair.left, spec, added, *left_step)
+    right = _combinatorial_step(pair.right, spec, added, *right_step).logged("assert", _NONCYCLIC_DETAIL)
     if not combinatorics_equal(left, right):
         raise AssertionError("lift produced unequal combinatorics")
     if not _finite_cyclic(left.group):
@@ -137,11 +157,22 @@ def enumerate_family(pair: ZariskiPairRecord, bound: int) -> list[ZariskiPairRec
     The construction's singularities do not depend on the order of the
     counts, so each partition stands for all of its permutations, and
     distinct partitions give distinct combinatorics.
+
+    Each record equals ``lift_pair(pair, General(counts))``, but the work
+    that does not depend on the counts is done once.  The pair is checked
+    once per call.  A side's new group and flags depend only on that side
+    and the kernel order N = sum(counts) + 1, so each side's group step is
+    computed once per N (2 * bound steps, against two per record), with the
+    right side's asserted ``cyclic=False`` merged in once per N; its
+    ``assert`` log entry is still written on every record.  Both sides have
+    the same degree, so one added multiset serves both.  The combinatorics
+    and left-cyclic assertions still run on every record.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     _check_liftable(pair)
-    return [lift_pair(pair, General(counts)) for counts in _partitions_up_to(bound)]
+    steps: dict = {}
+    return [_lift(pair, General(counts), steps) for counts in _partitions_up_to(bound)]
 
 
 def describe_pair(record: ZariskiPairRecord) -> str:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the algorithms in the package: word reduction by
 repeated scanning, determinants by fraction-free elimination, invariant
-factors by gcds of minors, Zariski families by lifting along every
-composition and deduplicating, partition counts by Euler's pentagonal
+factors by gcds of minors, Zariski lifts by two public ``apply`` calls and
+an asserted flag, Zariski families by lifting along every composition and
+deduplicating, partition counts by Euler's pentagonal
 recurrence, each construction's added singularities and Hirzebruch
 schedule by a separate rule per text form (replayed one elementary
 transformation at a time), singularity types entry by entry on their
@@ -19,13 +20,13 @@ import re
 
 from curvegroups import extensions
 
-from curvegroups.constructions import General
+from curvegroups.constructions import General, apply
 from curvegroups.documents import encode_int, presentation_to_json
 from curvegroups.extensions import PropertyFlags, propagate_properties
 from curvegroups.fpgroup import Presentation, Word, commutator, generator
 from curvegroups.meridians import elem_first, elem_second, init_state
 from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type, multiset
-from curvegroups.zariski import lift_pair
+from curvegroups.zariski import DISTINGUISHER_CYCLIC, ZariskiPairRecord
 
 
 def naive_reduce(letters):
@@ -97,6 +98,16 @@ def finite_abelian_order(factors):
     return prod(factors)
 
 
+def lift_by_apply(pair, spec):
+    """The lift of a liftable pair by ``spec``: ``apply`` on each side, and
+    the right side's non-cyclicity asserted afterwards."""
+    left = apply(pair.left, spec)
+    right = apply(pair.right, spec).with_asserted_props(
+        PropertyFlags(cyclic=False), "a central extension of a non-cyclic group is never cyclic"
+    )
+    return ZariskiPairRecord(left, right, True, DISTINGUISHER_CYCLIC, pair.generation + 1, spec)
+
+
 def family_by_compositions(pair, bound):
     """Zariski family of ``pair``: lift by ``General(t)`` for every
     composition t of 1..bound (2^bound - 1 lifts) in (length, tuple) order,
@@ -112,7 +123,7 @@ def family_by_compositions(pair, bound):
     compositions.sort(key=lambda t: (len(t), t))
     records, seen = [], set()
     for counts in compositions:
-        record = lift_pair(pair, General(counts))
+        record = lift_by_apply(pair, General(counts))
         left = record.left
         fingerprint = (left.degree, tuple(sorted(left.component_degrees)), left.singularities)
         if fingerprint not in seen:

@@ -318,6 +318,33 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
             lambda curve: curve.update(component_degrees="2"),
             "curve.component_degrees: expected an array, got a string",
         ),
+        (lambda curve: curve.update(group={"tree": None}), "curve.group.tree: expected an object, got null"),
+        (lambda curve: curve.update(group={"form": 5}), "curve.group.form: expected a string, got 5"),
+        (lambda curve: curve.update(group={}), "curve.group.form: missing key"),
+        (lambda curve: curve.update(group={"tree": {"order": 2}}), "curve.group.tree.kind: missing key"),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "direct-sum", "parts": [5, 6]}}),
+            "curve.group.tree.parts[0]: expected an object, got 5",
+        ),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": 5}}}),
+            "curve.group.tree.presentation.generators: expected an array, got 5",
+        ),
+        (
+            lambda curve: curve.update(
+                group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": ["a"], "relators": [5]}}}
+            ),
+            "curve.group.tree.presentation.relators[0]: expected a string, got 5",
+        ),
+        (lambda curve: curve.update(log=[5]), "curve.log[0]: expected an object, got 5"),
+        (lambda curve: curve["log"][0].pop("seq"), "curve.log[0].seq: missing key"),
+        (lambda curve: curve["props"].update(cyclic=5), "curve.props.cyclic: expected true, false or null, got 5"),
+        (lambda curve: curve["props"].update(abelian=1), "curve.props.abelian: expected true, false or null, got 1"),
+        (
+            lambda curve: curve["props"].update(nilpotency_class=5),
+            "curve.props.nilpotency_class: expected an array, got 5",
+        ),
+        (lambda curve: curve.update(singularities=5), "curve.singularities: expected an array, got 5"),
     ],
     ids=[
         "non-string-type",
@@ -326,11 +353,43 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         "null-group",
         "props-not-an-object",
         "component-degrees-not-a-list",
+        "null-group-tree",
+        "non-string-group-form",
+        "group-without-tree-or-form",
+        "group-tree-without-kind",
+        "non-object-direct-sum-part",
+        "non-array-generators",
+        "non-string-relator",
+        "non-object-log-entry",
+        "log-entry-without-seq",
+        "non-boolean-flag",
+        "integer-flag",
+        "non-array-nilpotency-class",
+        "non-array-singularities",
     ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
     doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])
     edit(doc["curve"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "apply", "uludag(1)", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad document: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(curve=None), "curve: expected an object, got null"),
+        (lambda doc: [doc], "document: expected an object, got an array"),
+    ],
+    ids=["null-curve", "array-document"],
+)
+def test_hand_edited_document_top_level_is_a_named_error(tmp_path, capsys, edit, message):
+    doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])
+    doc = edit(doc) or doc
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "apply", "uludag(1)", "--in", str(path))

@@ -1,11 +1,13 @@
 import json
+import sys
 
 import pytest
-from oracles import family_by_compositions, partition_count
+from oracles import family_by_compositions, lift_by_apply, partition_count
 
-from curvegroups.constructions import General, Uludag, kernel_order
+from curvegroups import constructions, extensions
+from curvegroups.constructions import General, Mixed, Special, Uludag, format_spec, kernel_order
 from curvegroups.curves import custom_seed, seed_generic_lines, seed_pencil, seed_smooth
-from curvegroups.extensions import Cyclic, FiniteTagged, PropertyFlags
+from curvegroups.extensions import Cyclic, FiniteTagged, PropertyFlags, direct_sum
 from curvegroups.documents import pair_to_json
 from curvegroups.singularities import SingularityType, multiset, parse_type
 from curvegroups.zariski import (
@@ -30,14 +32,37 @@ def sextic_pair():
     return seed_pair(left, right)
 
 
-def run_pair(degree):
-    """Seed pair of the given degree whose singularities include runs."""
+def run_pair(degree, right_group="finite"):
+    """Seed pair of the given degree whose singularities include runs.  The
+    right group is ``Fin(6d)`` asserted non-abelian, or with
+    ``right_group="sum"`` the non-cyclic ``Z/2 (+) Z/2d``."""
     sings = multiset(parse_type(t) for t in ("[2_3]", "[2]", "[3,2_2]"))
     left = custom_seed((degree,), sings, Cyclic(degree))
-    right = custom_seed(
-        (degree,), sings, FiniteTagged(6 * degree), asserted_props=PropertyFlags(abelian=False)
-    )
+    if right_group == "sum":
+        right = custom_seed((degree,), sings, direct_sum(Cyclic(2), Cyclic(2 * degree)))
+    else:
+        right = custom_seed(
+            (degree,), sings, FiniteTagged(6 * degree), asserted_props=PropertyFlags(abelian=False)
+        )
     return seed_pair(left, right)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls to ``module.name`` made through any ``curvegroups``
+    module attribute that holds it; returns the list of argument tuples."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "curvegroups":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +177,39 @@ def test_lift_rejects_unequal_combinatorics():
         lift_pair(seed_pair(left, right), Uludag(1))
 
 
+LIFT_SPECS = [
+    Uludag(1),
+    Uludag(3),
+    General((1, 2)),
+    General((2, 2, 1)),
+    Mixed((2, 1), (1, 1, 1)),
+    Mixed((3,), (1, 2)),
+    Special(1),
+    Special(2),
+]
+
+
+@pytest.mark.parametrize("right_group", ["finite", "sum"])
+@pytest.mark.parametrize("degree", [1, 3, 6])
+@pytest.mark.parametrize("spec", LIFT_SPECS, ids=format_spec)
+def test_lift_pair_matches_two_applies(spec, degree, right_group):
+    pair = run_pair(degree, right_group)
+    for _ in range(2):  # a seed pair, then a lifted one with a longer log
+        record = lift_pair(pair, spec)
+        expected = lift_by_apply(pair, spec)
+        assert record == expected
+        assert pair_to_json(record) == pair_to_json(expected)
+        pair = record
+
+
+def test_lift_pair_runs_each_step_once_per_side(monkeypatch):
+    extends = count_calls(monkeypatch, extensions, "central_extend")
+    added = count_calls(monkeypatch, constructions, "added_singularities")
+    lift_pair(run_pair(3), General((2, 1)))
+    assert len(extends) == 2
+    assert len(added) == 1
+
+
 def test_generations_compose():
     record = lift_pair(sextic_pair(), Uludag(1))
     record = lift_pair(record, General((2,)))
@@ -192,13 +250,14 @@ def test_enumerate_family_kernel_orders():
 
 @pytest.mark.parametrize("degree", [1, 3, 6])
 def test_enumerate_family_matches_composition_oracle(degree):
-    pair = run_pair(degree)
-    for bound in range(10):
-        records = enumerate_family(pair, bound)
-        expected = family_by_compositions(pair, bound)
-        assert records == expected
-        rendered = [json.dumps(pair_to_json(r), sort_keys=True) for r in records]
-        assert rendered == [json.dumps(pair_to_json(r), sort_keys=True) for r in expected]
+    for right_group in ("finite", "sum"):
+        pair = run_pair(degree, right_group)
+        for bound in range(10):
+            records = enumerate_family(pair, bound)
+            expected = family_by_compositions(pair, bound)
+            assert records == expected
+            rendered = [json.dumps(pair_to_json(r), sort_keys=True) for r in records]
+            assert rendered == [json.dumps(pair_to_json(r), sort_keys=True) for r in expected]
 
 
 @pytest.mark.parametrize("bound, count", [(12, 271), (16, 914)])
@@ -207,3 +266,14 @@ def test_enumerate_family_one_record_per_partition(bound, count):
     assert len(records) == count == sum(partition_count(s) for s in range(1, bound + 1))
     assert len({r.parent_spec for r in records}) == count
     assert all(list(r.parent_spec.counts) == sorted(r.parent_spec.counts) for r in records)
+
+
+@pytest.mark.parametrize("bound", range(12))
+def test_enumerate_family_shares_steps_across_the_family(monkeypatch, bound):
+    # one group step per side and kernel order N = 2..bound+1, one added
+    # multiset per lift
+    extends = count_calls(monkeypatch, extensions, "central_extend")
+    added = count_calls(monkeypatch, constructions, "added_singularities")
+    records = enumerate_family(run_pair(3), bound)
+    assert len(extends) == 2 * bound
+    assert len(added) == len(records) == sum(partition_count(s) for s in range(1, bound + 1))
