@@ -35,6 +35,7 @@ from .extensions import (
     propagate_properties,
     props_from_descriptor,
 )
+from .fpgroup import _require_ints
 from .singularities import (
     SingularityMultiset,
     SingularityType,
@@ -43,13 +44,7 @@ from .singularities import (
     multiset,
 )
 
-# text form -> message for counts below 1, in that form's own terms
-_FORMS = {
-    "uludag": "transformation count must be >= 1, got {0[0]}",
-    "general": "counts must be a nonempty tuple of integers >= 1, got {0}",
-    "mixed": "both count tuples must be nonempty with all entries >= 1",
-    "special": "transformation count must be >= 1, got {0[0]}",
-}
+_FORMS = ("uludag", "general", "mixed", "special")
 
 
 @dataclass(frozen=True)
@@ -67,15 +62,14 @@ class Schedule:
         if self.form not in _FORMS:
             raise ValueError(f"unknown construction {self.form!r}")
         ns, ms = tuple(self.raise_counts), tuple(self.lower_counts)
-        for value in ns + ms:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"counts must be integers, got {value!r}")
+        _require_ints("raise counts", ns, 1)
+        _require_ints("lower counts", ms, 1)
         if self.form != "mixed":
             ms = ms or (sum(ns),)
             if len(ms) != 1 or (self.form != "general" and len(ns) != 1):
                 raise ValueError(f"{self.form} cannot have raise counts {ns} and lower counts {ms}")
-        if not ns or not ms or min(ns + ms) < 1:
-            raise ValueError(_FORMS[self.form].format(ns))
+        if not ns or not ms:
+            raise ValueError(f"{self.form} needs at least one raise count and one lower count")
         if sum(ns) != sum(ms):
             raise ValueError(
                 f"{self.form} construction requires sum of raise counts = sum of lower counts, got {sum(ns)} != {sum(ms)}"
@@ -155,8 +149,7 @@ def parse_spec(text: str) -> ConstructionSpec:
 
 def degree_after(degree: int, spec: ConstructionSpec) -> int:
     """Degree of the transformed curve: d * N."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _require_ints("degrees", (degree,), 1)
     return degree * spec.kernel_order
 
 
@@ -190,8 +183,7 @@ def added_singularities(degree: int, spec: ConstructionSpec) -> SingularityMulti
     Degree 1 is permitted: the resulting multiplicity-1 entries are pure
     bookkeeping that keeps the self-intersection audit exact.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _require_ints("degrees", (degree,), 1)
     d, total = degree, sum(spec.raise_counts)
     if spec.form == "special":
         return multiset([special_blowdown_type(d, total, recorded_head=True)])

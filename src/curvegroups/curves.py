@@ -23,7 +23,6 @@ from .extensions import (
 )
 from .fpgroup import AbelianInvariants, _require_ints, smith_normal_form
 from .singularities import (
-    EMPTY_MULTISET,
     SingularityMultiset,
     SingularityType,
     multiset,
@@ -82,6 +81,17 @@ class CurveDatum:
         )
 
 
+def _seed(kind: str, degrees: tuple[int, ...], types: list[SingularityType], group: GroupDescriptor, detail: str) -> CurveDatum:
+    datum = CurveDatum(
+        component_degrees=degrees,
+        singularities=multiset(types),
+        group=group,
+        props=props_from_descriptor(group),
+        family_tag=kind,
+    )
+    return datum.logged("seed", f"{kind} {detail} group={format_descriptor(group)}")
+
+
 def seed_smooth(degree: int) -> CurveDatum:
     """A smooth irreducible curve of the given degree.
 
@@ -89,30 +99,14 @@ def seed_smooth(degree: int) -> CurveDatum:
     line).
     """
     _require_ints("smooth curve degrees", (degree,), 1)
-    group = Cyclic(degree)
-    datum = CurveDatum(
-        component_degrees=(degree,),
-        singularities=EMPTY_MULTISET,
-        group=group,
-        props=props_from_descriptor(group),
-        family_tag="smooth",
-    )
-    return datum.logged("seed", f"smooth degree={degree} group={format_descriptor(group)}")
+    return _seed("smooth", (degree,), [], Cyclic(degree), f"degree={degree}")
 
 
 def seed_pencil(lines: int) -> CurveDatum:
     """m lines through a single point: one ordinary m-fold point [m], free
     fundamental group of rank m-1."""
     _require_ints("pencil line counts", (lines,), 2)
-    group = Free(lines - 1)
-    datum = CurveDatum(
-        component_degrees=(1,) * lines,
-        singularities=multiset([SingularityType((lines,))]),
-        group=group,
-        props=props_from_descriptor(group),
-        family_tag="pencil",
-    )
-    return datum.logged("seed", f"pencil lines={lines} group={format_descriptor(group)}")
+    return _seed("pencil", (1,) * lines, [SingularityType((lines,))], Free(lines - 1), f"lines={lines}")
 
 
 def seed_generic_lines(lines: int) -> CurveDatum:
@@ -121,16 +115,8 @@ def seed_generic_lines(lines: int) -> CurveDatum:
     _require_ints("generic line counts", (lines,), 2)
     if lines == 2:
         return seed_pencil(2)
-    group = FreeAbelian(lines - 1)
-    nodes = [SingularityType((2,)) for _ in range(comb(lines, 2))]
-    datum = CurveDatum(
-        component_degrees=(1,) * lines,
-        singularities=multiset(nodes),
-        group=group,
-        props=props_from_descriptor(group),
-        family_tag="generic-lines",
-    )
-    return datum.logged("seed", f"generic-lines lines={lines} group={format_descriptor(group)}")
+    nodes = [SingularityType((2,))] * comb(lines, 2)
+    return _seed("generic-lines", (1,) * lines, nodes, FreeAbelian(lines - 1), f"lines={lines}")
 
 
 def custom_seed(

@@ -188,12 +188,15 @@ def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
     _expect(data, dict, path)
     degrees = _expect(_key(data, "component_degrees", path), list, f"{path}.component_degrees")
     types = _expect(_key(data, "singularities", path), list, f"{path}.singularities")
+    tag = data.get("family_tag")
+    if tag is not None and type(tag) is not str:
+        raise ValueError(f"{path}.family_tag: expected a string or null, got {_got(tag)}")
     curve = CurveDatum(
         component_degrees=tuple(decode_int(d) for d in degrees),
         singularities=multiset(parse_type(t) for t in types),
         group=_group_from_json(_key(data, "group", path), f"{path}.group"),
         props=props_from_json(_key(data, "props", path), f"{path}.props"),
-        family_tag=data.get("family_tag"),
+        family_tag=tag,
         log=_log_from_json(data.get("log", []), f"{path}.log"),
     )
     declared = decode_int(_key(data, "degree", path))
@@ -203,14 +206,15 @@ def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
 
 
 def _log_from_json(entries, path: str) -> tuple[LogEntry, ...]:
-    try:
-        return tuple(LogEntry(e["seq"], e["op"], e["detail"]) for e in _expect(entries, list, path))
-    except (TypeError, KeyError):
-        # checked only on failure: logs grow by one entry per step
-        for i, e in enumerate(entries):
-            for key in ("seq", "op", "detail"):
-                _key(_expect(e, dict, f"{path}[{i}]"), key, f"{path}[{i}]")
-        raise
+    log = []
+    for i, e in enumerate(_expect(entries, list, path)):
+        at = f"{path}[{i}]"
+        seq = _key(_expect(e, dict, at), "seq", at)
+        if type(seq) is not int or seq != i:
+            raise ValueError(f"{at}.seq: expected {i}, got {_got(seq)}")
+        op = _expect(_key(e, "op", at), str, f"{at}.op")
+        log.append(LogEntry(i, op, _expect(_key(e, "detail", at), str, f"{at}.detail")))
+    return tuple(log)
 
 
 def audit_to_json(report: AuditReport) -> dict:

@@ -268,7 +268,8 @@ _TRISTATE_FIELDS = (
 )
 
 # A -> B meaning: A true forces B true (all implications hold for arbitrary
-# groups).  True flows forward, false flows backward.
+# groups).  True flows forward, false flows backward.  Listed in topological
+# order: every edge into a property comes before every edge out of it.
 _IMPLICATIONS = (
     ("cyclic", "abelian"),
     ("cyclic", "supersolvable"),
@@ -309,9 +310,9 @@ class PropertyFlags:
     def __post_init__(self):
         state = {name: getattr(self, name) for name in _TRISTATE_FIELDS}
         p = self.p_group
-        if p is not None and not (type(p) is int and p in _SMALL_PRIME_SET):
+        if p is not None:
             _require_ints("p_group primes", (p,), 2)
-            if _is_composite(p):
+            if p not in _SMALL_PRIME_SET and _is_composite(p):
                 raise ValueError(f"p_group must be a prime, got {p}")
         if self.nilpotency_class is not None:
             lo, hi = self.nilpotency_class
@@ -322,16 +323,13 @@ class PropertyFlags:
             state["nilpotent"] = _join(state["nilpotent"], True, "nilpotent")
         if self.p_group is not None and state["finite"] is True:
             state["nilpotent"] = _join(state["nilpotent"], True, "nilpotent")
-        changed = True
-        while changed:
-            changed = False
-            for a, b in _IMPLICATIONS:
-                if state[a] is True and state[b] is not True:
-                    state[b] = _join(state[b], True, b)
-                    changed = True
-                if state[b] is False and state[a] is not False:
-                    state[a] = _join(state[a], False, a)
-                    changed = True
+        # _IMPLICATIONS is in topological order, so one pass each way closes
+        for a, b in _IMPLICATIONS:
+            if state[a] is True and state[b] is not True:
+                state[b] = _join(state[b], True, b)
+        for a, b in reversed(_IMPLICATIONS):
+            if state[b] is False and state[a] is not False:
+                state[a] = _join(state[a], False, a)
         for name in _TRISTATE_FIELDS:
             object.__setattr__(self, name, state[name])
 
@@ -581,8 +579,7 @@ def propagate_properties(p: PropertyFlags, kernel_order: int) -> PropertyFlags:
     [lo, hi+1].  Everything else degrades to unknown; unknown never
     upgrades.
     """
-    if kernel_order < 2:
-        raise ValueError("kernel order must be >= 2")
+    _require_ints("kernel orders", (kernel_order,), 2)
     cls = None
     if p.nilpotency_class is not None:
         cls = (p.nilpotency_class[0], p.nilpotency_class[1] + 1)
@@ -627,8 +624,7 @@ def central_extend(
     The rules agree wherever several apply, so order only fixes the
     canonical result.
     """
-    if kernel_order < 2:
-        raise ValueError("kernel order must be >= 2 (1 is the identity extension)")
+    _require_ints("kernel orders", (kernel_order,), 2)  # 1 is the identity extension
     n = kernel_order
     parts = summands(g)
     kind, value, extra = parts[0]
@@ -680,10 +676,8 @@ def split_test(h1: AbelianInvariants, components: int, kernel_order: int) -> Spl
     the coprime finite case, where the caller passes H1 only when the group
     itself is known finite abelian.  Otherwise unknown.
     """
-    if components < 1:
-        raise ValueError("component count must be >= 1")
-    if kernel_order < 2:
-        raise ValueError("kernel order must be >= 2")
+    _require_ints("component counts", (components,), 1)
+    _require_ints("kernel orders", (kernel_order,), 2)
     orders = [0] * h1.free_rank + list(h1.torsion)
     if len(orders) == components and all(gcd(d, kernel_order) > 1 for d in orders):
         return SplitVerdict(SplitKind.NON_SPLIT, RULE_SUMMANDS_NONCOPRIME)

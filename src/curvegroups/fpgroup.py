@@ -83,6 +83,7 @@ class Word:
         return self.inverse()
 
     def __pow__(self, n: int) -> "Word":
+        _require_ints("exponents", (n,))
         base = self if n >= 0 else self.inverse()
         return Word(base.letters * abs(n))
 
@@ -187,13 +188,16 @@ def quotient(p: Presentation, extra: Sequence[Word]) -> Presentation:
     return Presentation(p.generators, p.relators + tuple(extra))
 
 
-def _require_ints(what: str, values, least: int) -> None:
-    """Check that ``values`` are integers >= ``least``.  Floats, bools and
-    strings are rejected rather than truncated or read as numbers."""
+def _require_ints(what: str, values, least: int | None = None) -> None:
+    """Check that ``values`` are integers, and >= ``least`` unless it is
+    None.  This is the library's one integer-argument check: floats, bools
+    and strings are rejected by name rather than truncated or read as
+    numbers."""
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
+        # an exact int skips both isinstance calls
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{what} must be integers, got {value!r}")
-        if value < least:
+        if least is not None and value < least:
             raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
@@ -251,14 +255,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     >>> smith_normal_form([[0, 0], [0, 0]])
     ()
     """
-    a = []
-    for row in matrix:
-        out_row = []
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError(f"matrix entries must be exact integers, got {x!r}")
-            out_row.append(x)
-        a.append(out_row)
+    a = [list(row) for row in matrix]
+    for row in a:
+        _require_ints("matrix entries", row)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if any(len(row) != ncols for row in a):
@@ -347,10 +346,10 @@ def local_group(k: int) -> Presentation:
 
     ``a`` equals the product of all k branch meridians in their cyclic order
     (see :func:`local_group_center`); the first branch meridian has been
-    eliminated by that change of variables.
+    eliminated by that change of variables.  One branch (k = 1) is
+    :data:`SINGLE_BRANCH_LOCAL_GROUP`.
     """
-    if k < 2:
-        raise ValueError("local_group requires k >= 2 branches; the single-branch group is SINGLE_BRANCH_LOCAL_GROUP")
+    _require_ints("branch counts", (k,), 2)
     center = generator("a")
     names = ("a",) + tuple(f"a{i}" for i in range(2, k + 1))
     relators = tuple(commutator(center, generator(n)) for n in names[1:])
@@ -360,8 +359,7 @@ def local_group(k: int) -> Presentation:
 def local_group_center(k: int) -> tuple[str, tuple[str, ...]]:
     """The central generator of ``local_group(k)`` and the branch meridians
     (in counterclockwise order) whose product it equals."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_ints("branch counts", (k,), 1)
     return "a", tuple(f"a{i}" for i in range(1, k + 1))
 
 
@@ -379,11 +377,10 @@ def cyclic_quotient_order(counts: Sequence[int]) -> int:
     >>> cyclic_quotient_order((1, 1))
     3
     """
-    counts = tuple(int(n) for n in counts)
+    counts = tuple(counts)
     if not counts:
         raise ValueError("at least one transformation count is required")
-    if any(n < 1 for n in counts):
-        raise ValueError(f"all counts must be >= 1, got {counts}")
+    _require_ints("transformation counts", counts, 1)
     k = len(counts)
     rows = [[counts[0] + 1] + [-1] * (k - 1)]
     for i in range(1, k):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .constructions import ConstructionSpec
-from .fpgroup import Word, free_reduce, generator
+from .fpgroup import Word, _require_ints, free_reduce, generator
 
 def generator_for_label(label: str) -> str:
     """``P``, ``Pn``, ``Qn``, ``L`` -> ``b``, ``bn``, ``an``, ``a`` (n any decimal
@@ -53,8 +53,7 @@ class MeridianState:
     trace: tuple[tuple[int, str, str], ...] = ()
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"Hirzebruch index must be >= 1, got {self.index}")
+        _require_ints("Hirzebruch indices", (self.index,), 1)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fibers)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .fpgroup import _require_ints
+
 Entry = Union[int, "BlowdownEntry"]
 Run = tuple[Entry, int]
 
@@ -33,8 +35,7 @@ class BlowdownEntry:
     clusters: tuple["SingularityType", ...]
 
     def __post_init__(self):
-        if self.head < 2:
-            raise ValueError(f"blow-down head multiplicity must be >= 2, got {self.head}")
+        _require_ints("blow-down head multiplicities", (self.head,), 2)
         if not self.clusters:
             raise ValueError("blow-down entry needs at least one cluster")
         object.__setattr__(self, "clusters", tuple(sorted(self.clusters, key=type_key)))
@@ -42,12 +43,11 @@ class BlowdownEntry:
 
 def _canonical_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
     """Validated runs with adjacent equal entries merged."""
+    runs = tuple(runs)
+    _require_ints("multiplicity entries", [e for e, _ in runs if not isinstance(e, BlowdownEntry)], 1)
+    _require_ints("run lengths", [count for _, count in runs], 1)
     out: list[Run] = []
     for entry, count in runs:
-        if not isinstance(entry, BlowdownEntry) and (not isinstance(entry, int) or entry < 1):
-            raise ValueError(f"multiplicity entries must be integers >= 1, got {entry!r}")
-        if not isinstance(count, int) or count < 1:
-            raise ValueError(f"run length must be an integer >= 1, got {count!r}")
         if out and out[-1][0] == entry:
             out[-1] = (entry, out[-1][1] + count)
         else:
@@ -121,10 +121,8 @@ def tacnode_type(branches: int, order: int = 0) -> SingularityType:
     """Type of a point where ``branches`` smooth branches share a tangent to
     contact ``order``: the multiplicity d repeated order+1 times.  Order 0
     is an ordinary d-fold point [d]."""
-    if branches < 2:
-        raise ValueError("a tacnode needs at least 2 branches")
-    if order < 0:
-        raise ValueError("tacnode order must be >= 0")
+    _require_ints("tacnode branch counts", (branches,), 2)
+    _require_ints("tacnode orders", (order,), 0)
     return SingularityType.from_runs(((branches, order + 1),))
 
 
@@ -134,8 +132,7 @@ def blowdown_type(head: int, clusters: Sequence[SingularityType]) -> Singularity
     A single all-plain cluster [t1,...,ts] flattens to [head, t1,...,ts];
     several clusters stay nested, e.g. [6,(|[2,2]|,|[2]|)].
     """
-    if head < 2:
-        raise ValueError(f"blow-down head multiplicity must be >= 2, got {head}")
+    _require_ints("blow-down head multiplicities", (head,), 2)
     clusters = tuple(clusters)
     if not clusters:
         raise ValueError("blow-down needs at least one cluster")

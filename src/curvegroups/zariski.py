@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .curves import CurveDatum, _assert_detail
 from .extensions import GroupDescriptor, PropertyFlags, props_from_descriptor, summands
+from .fpgroup import _require_ints
 
 DISTINGUISHER_CYCLIC = "cyclic-vs-noncyclic"
 DISTINGUISHER_NONE = "none"
@@ -41,8 +42,7 @@ class ZariskiPairRecord:
     parent_spec: ConstructionSpec | None = None
 
     def __post_init__(self):
-        if self.generation < 0:
-            raise ValueError("generation must be >= 0")
+        _require_ints("generations", (self.generation,), 0)
         if self.distinguisher != DISTINGUISHER_NONE and not self.combinatorics_equal:
             raise ValueError("a distinguisher requires equal combinatorics")
 
@@ -168,8 +168,7 @@ def enumerate_family(pair: ZariskiPairRecord, bound: int) -> list[ZariskiPairRec
     the same degree, so one added multiset serves both.  The combinatorics
     and left-cyclic assertions still run on every record.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _require_ints("family bounds", (bound,), 0)
     _check_liftable(pair)
     steps: dict = {}
     return [_lift(pair, General(counts), steps) for counts in _partitions_up_to(bound)]

@@ -8,7 +8,8 @@ deduplicating, partition counts by Euler's pentagonal
 recurrence, each construction's added singularities and Hirzebruch
 schedule by a separate rule per text form (replayed one elementary
 transformation at a time), singularity types entry by entry on their
-expanded sequences, type text by recursive descent over runs, group descriptors by one class per shape with
+expanded sequences, type text by recursive descent over runs, property-flag
+closure by sweeping the implications to a fixpoint, group descriptors by one class per shape with
 cyclic parts merged through prime factorisation, and descriptor text by
 splitting at top-level separators and matching each summand recursively.
 """
@@ -611,6 +612,31 @@ def ref_presentation(g):
     if isinstance(g, FiniteTagged):
         return g.presentation
     return None
+
+
+def close_flags_by_fixpoint(state):
+    """Close a dict of tri-state flags under ``extensions._IMPLICATIONS`` by
+    sweeping every edge until nothing changes, true forward and false
+    backward.  Returns the closed dict, or raises the contradiction error
+    the library raises."""
+    state = dict(state)
+
+    def join(a, b, name):
+        if a is not None and b is not None and a != b:
+            raise ValueError(f"contradictory values for property {name!r}: {a} vs {b}")
+        return b if a is None else a
+
+    changed = True
+    while changed:
+        changed = False
+        for a, b in extensions._IMPLICATIONS:
+            if state[a] is True and state[b] is not True:
+                state[b] = join(state[b], True, b)
+                changed = True
+            if state[b] is False and state[a] is not False:
+                state[a] = join(state[a], False, a)
+                changed = True
+    return state
 
 
 def _trial_prime_power(n):

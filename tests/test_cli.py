@@ -345,6 +345,14 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
             "curve.props.nilpotency_class: expected an array, got 5",
         ),
         (lambda curve: curve.update(singularities=5), "curve.singularities: expected an array, got 5"),
+        (lambda curve: curve.update(family_tag=5), "curve.family_tag: expected a string or null, got 5"),
+        (lambda curve: curve["log"][0].update(seq="x"), "curve.log[0].seq: expected 0, got a string"),
+        (lambda curve: curve["log"][0].update(seq=False), "curve.log[0].seq: expected 0, got False"),
+        (lambda curve: curve["log"][0].update(seq=0.0), "curve.log[0].seq: expected 0, got 0.0"),
+        (lambda curve: curve["log"][0].update(seq=3), "curve.log[0].seq: expected 0, got 3"),
+        (lambda curve: curve["log"][0].update(op=None), "curve.log[0].op: expected a string, got null"),
+        (lambda curve: curve["log"][0].update(detail=[]), "curve.log[0].detail: expected a string, got an array"),
+        (lambda curve: curve["log"][0].pop("detail"), "curve.log[0].detail: missing key"),
     ],
     ids=[
         "non-string-type",
@@ -366,6 +374,14 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         "integer-flag",
         "non-array-nilpotency-class",
         "non-array-singularities",
+        "non-string-family-tag",
+        "string-log-seq",
+        "boolean-log-seq",
+        "float-log-seq",
+        "log-seq-not-its-index",
+        "null-log-op",
+        "non-string-log-detail",
+        "log-entry-without-detail",
     ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):

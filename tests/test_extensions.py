@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvegroups import extensions
 from curvegroups.extensions import (
     Cyclic,
     FiniteTagged,
@@ -429,6 +430,21 @@ def test_flag_closure_backward_false():
     assert flags.abelian is False
     assert flags.cyclic is False
     assert flags.nilpotent is False
+
+
+def test_flag_closure_matches_fixpoint_oracle_on_every_assignment():
+    names = extensions._TRISTATE_FIELDS
+    for values in itertools.product((None, False, True), repeat=len(names)):
+        state = dict(zip(names, values))
+        try:
+            expected = oracles.close_flags_by_fixpoint(state)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                PropertyFlags(**state)
+            assert str(info.value) == str(exc)
+            continue
+        flags = PropertyFlags(**state)
+        assert {name: getattr(flags, name) for name in names} == expected
 
 
 def test_flag_contradiction_rejected():
