@@ -10,7 +10,6 @@ pairs into infinite families.
 
 from .constructions import (
     AuditReport,
-    ConstructionSpec,
     General,
     Mixed,
     Schedule,
@@ -79,7 +78,6 @@ from .singularities import (
     format_type,
     multiset,
     parse_type,
-    tacnode_type,
 )
 from .zariski import (
     ZariskiPairRecord,

@@ -86,9 +86,6 @@ class Schedule:
         return sum(self.raise_counts) + 1
 
 
-ConstructionSpec = Schedule
-
-
 def Uludag(n: int) -> Schedule:
     return Schedule("uludag", (n,))
 
@@ -105,11 +102,11 @@ def Special(n: int) -> Schedule:
     return Schedule("special", (n,))
 
 
-def kernel_order(spec: ConstructionSpec) -> int:
+def kernel_order(spec: Schedule) -> int:
     return spec.kernel_order
 
 
-def format_spec(spec: ConstructionSpec) -> str:
+def format_spec(spec: Schedule) -> str:
     text = ",".join(map(str, spec.raise_counts))
     if spec.form == "mixed":
         text += ";" + ",".join(map(str, spec.lower_counts))
@@ -129,7 +126,7 @@ def _int_list(text: str, context: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-def parse_spec(text: str) -> ConstructionSpec:
+def parse_spec(text: str) -> Schedule:
     """Parse ``uludag(3)``, ``general(1,2,2)``, ``mixed(2,1;1,1,1)``,
     ``special(2)``."""
     m = _SPEC_RE.match(text)
@@ -147,7 +144,7 @@ def parse_spec(text: str) -> ConstructionSpec:
     return Schedule(name, *counts)
 
 
-def degree_after(degree: int, spec: ConstructionSpec) -> int:
+def degree_after(degree: int, spec: Schedule) -> int:
     """Degree of the transformed curve: d * N."""
     _require_ints("degrees", (degree,), 1)
     return degree * spec.kernel_order
@@ -174,7 +171,7 @@ def special_blowdown_type(degree: int, n: int, recorded_head: bool = True) -> Si
     return _blowdown(head, [_mult_run(degree, 2 * n)])
 
 
-def added_singularities(degree: int, spec: ConstructionSpec) -> SingularityMultiset:
+def added_singularities(degree: int, spec: Schedule) -> SingularityMultiset:
     """Singularities the construction adds to a curve of the given degree:
     a run ``[d_n]`` per raising fiber, and the lowering fibers' runs
     ``[d_m]`` blown down under a point of multiplicity d*sum(n).  The special
@@ -217,12 +214,12 @@ class AuditReport:
             raise ValueError("verdict must be pass exactly when the residual is zero")
 
 
-def audit_self_intersection(degree: int, spec: ConstructionSpec) -> AuditReport:
+def audit_self_intersection(degree: int, spec: Schedule) -> AuditReport:
     """Check d_new^2 - sum(drops of added singularities) = d^2."""
     return _audit(degree, spec, added_singularities(degree, spec))
 
 
-def _audit(degree: int, spec: ConstructionSpec, added: SingularityMultiset) -> AuditReport:
+def _audit(degree: int, spec: Schedule, added: SingularityMultiset) -> AuditReport:
     # ``added`` must be added_singularities(degree, spec)
     d = degree
     d_new = degree_after(d, spec)
@@ -242,7 +239,7 @@ def _audit(degree: int, spec: ConstructionSpec, added: SingularityMultiset) -> A
     )
 
 
-def apply(curve: CurveDatum, spec: ConstructionSpec) -> CurveDatum:
+def apply(curve: CurveDatum, spec: Schedule) -> CurveDatum:
     """Transform a curve datum: degrees scale by N, the added singularity
     multiset is joined in, and the group extends centrally by Z/N.
 
@@ -271,7 +268,7 @@ def _group_step(curve: CurveDatum, n: int) -> tuple[GroupDescriptor, PropertyFla
 
 def _combinatorial_step(
     curve: CurveDatum,
-    spec: ConstructionSpec,
+    spec: Schedule,
     added: SingularityMultiset,
     group: GroupDescriptor,
     props: PropertyFlags,

@@ -1,6 +1,8 @@
 """JSON document schema for curve data, audit reports, and pair records.
 
-Documents carry an explicit schema version and round-trip losslessly.
+Documents carry an explicit schema version.  Curve documents round-trip
+losslessly through :func:`render_document` and :func:`parse_document`;
+audit reports, meridian states and pair records are only written.
 Output ordering is deterministic (sorted keys, canonical multiset order) so
 diffs over fixtures stay meaningful.  Integers above 2^53 - 1 are encoded
 as decimal strings to survive consumers that read JSON numbers as doubles.
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .constructions import AuditReport, format_spec, parse_spec
+from .constructions import AuditReport, format_spec
 from .curves import CurveDatum, LogEntry
 from .extensions import (
     Cyclic,
@@ -74,10 +76,6 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
-def presentation_from_json(data: dict) -> Presentation:
-    return _presentation_from_json(data, "presentation")
-
-
 def _presentation_from_json(data, path: str) -> Presentation:
     _expect(data, dict, path)
     gens = _expect(_key(data, "generators", path), list, f"{path}.generators")
@@ -133,10 +131,6 @@ def _group_from_tree(data, path: str) -> GroupDescriptor:
 def group_to_json(g: GroupDescriptor) -> dict:
     # "form" is the canonical display string; "tree" is the lossless encoding
     return {"form": format_descriptor(g), "tree": _group_tree(g)}
-
-
-def group_from_json(data: dict) -> GroupDescriptor:
-    return _group_from_json(data, "group")
 
 
 def _group_from_json(data, path: str) -> GroupDescriptor:
@@ -202,6 +196,10 @@ def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
     declared = decode_int(_key(data, "degree", path))
     if declared != curve.degree:
         raise ValueError(f"document degree {declared} does not match component degrees")
+    irreducible = data.get("irreducible", curve.irreducible)
+    if irreducible is not curve.irreducible:
+        got = json.dumps(irreducible) if type(irreducible) is bool else _got(irreducible)
+        raise ValueError(f"{path}.irreducible: expected {json.dumps(curve.irreducible)}, got {got}")
     return curve
 
 
@@ -229,17 +227,6 @@ def audit_to_json(report: AuditReport) -> dict:
     }
 
 
-def audit_from_json(data: dict) -> AuditReport:
-    variant = data.get("variant_residual")
-    return AuditReport(
-        expected=decode_int(data["expected"]),
-        computed=decode_int(data["computed"]),
-        residual=decode_int(data["residual"]),
-        verdict=data["verdict"],
-        variant_residual=None if variant is None else decode_int(variant),
-    )
-
-
 def meridians_to_json(state: MeridianState) -> dict:
     return {
         "exceptional": str(state.exceptional),
@@ -258,18 +245,6 @@ def pair_to_json(record: ZariskiPairRecord) -> dict:
         "generation": record.generation,
         "parent_spec": None if record.parent_spec is None else format_spec(record.parent_spec),
     }
-
-
-def pair_from_json(data: dict) -> ZariskiPairRecord:
-    spec = data.get("parent_spec")
-    return ZariskiPairRecord(
-        left=curve_from_json(data["left"], "left"),
-        right=curve_from_json(data["right"], "right"),
-        combinatorics_equal=data["combinatorics_equal"],
-        distinguisher=data["distinguisher"],
-        generation=data["generation"],
-        parent_spec=None if spec is None else parse_spec(spec),
-    )
 
 
 def render_json(payload) -> str:

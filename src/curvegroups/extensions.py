@@ -12,8 +12,8 @@ canonical form, so isomorphic regroupings compare equal:
 True
 
 :func:`summands` lists the parts in canonical order as ``(kind, value,
-extra)`` triples; the text form, the document tree, presentations, property
-flags and the central-extension rules all read that one view:
+extra)`` triples; the text form, the document tree, the property flags
+and the central-extension rules all read that one view:
 
 >>> summands(parse_descriptor("Z/3 (+) F2 (+) Z/2 (+) Z"))
 [('free', 1, None), ('free', 2, None), ('cyclic', 6, None)]
@@ -33,7 +33,7 @@ from itertools import chain, count
 from math import exp, gcd, isqrt, log, prod
 import re
 
-from .fpgroup import AbelianInvariants, Presentation, Word, _require_ints, commutator, generator
+from .fpgroup import AbelianInvariants, Presentation, _require_ints
 
 
 @dataclass(frozen=True)
@@ -226,29 +226,6 @@ def parse_descriptor(text: str) -> GroupDescriptor:
             break
         pos = m.end()
     raise ValueError(f"cannot parse group descriptor {text!r} at position {pos}")
-
-
-def to_presentation(g: GroupDescriptor) -> Presentation | None:
-    """A presentation for a single recognized summand; None otherwise."""
-    parts = summands(g)
-    if len(parts) != 1:
-        return None
-    kind, value, extra = parts[0]
-    if kind == "cyclic":
-        return Presentation(("x",), (Word.parse(f"x^{value}"),))
-    if kind == "finite":
-        return extra
-    if kind == "tower":
-        return None
-    names = tuple(f"x{i}" for i in range(1, value + 1))
-    if kind == "free":
-        return Presentation(names)
-    rels = tuple(
-        commutator(generator(a), generator(b))
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    )
-    return Presentation(names, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def _validated_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     for name, sign in letters:
         if not isinstance(name, str) or not name:
             raise ValueError(f"generator name must be a nonempty string, got {name!r}")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         out.append((name, sign))
     return tuple(out)
@@ -79,9 +79,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         _require_ints("exponents", (n,))
         base = self if n >= 0 else self.inverse()
@@ -106,17 +103,6 @@ class Word:
 
     def exponent_sum(self, generator: str) -> int:
         return sum(s for g, s in self.letters if g == generator)
-
-    def substitute(self, assignments: dict[str, "Word"]) -> "Word":
-        """Replace each named generator by a word (its inverse for sign -1)."""
-        letters: list[Letter] = []
-        for g, s in self.letters:
-            if g in assignments:
-                rep = assignments[g] if s == 1 else assignments[g].inverse()
-                letters.extend(rep.letters)
-            else:
-                letters.append((g, s))
-        return Word(tuple(letters))
 
 
 EMPTY_WORD = Word()

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .constructions import ConstructionSpec
+from .constructions import Schedule
 from .fpgroup import Word, _require_ints, free_reduce, generator
 
 def generator_for_label(label: str) -> str:
@@ -103,7 +103,7 @@ def elem_second(state: MeridianState, fiber: str) -> MeridianState:
     return MeridianState(index, state.exceptional, state.fibers, state.trace + ((index, "type2", fiber),))
 
 
-def _schedule(spec: ConstructionSpec):
+def _schedule(spec: Schedule):
     """Fiber labels, and the (fiber, count) pairs of the raising and of the
     lowering phase: every raising step comes before every lowering step."""
     if spec.form == "special":
@@ -118,7 +118,7 @@ def _schedule(spec: ConstructionSpec):
     return labels, tuple(zip(raising, spec.raise_counts)), tuple(zip(lowering, spec.lower_counts))
 
 
-def replay(spec: ConstructionSpec) -> MeridianState:
+def replay(spec: Schedule) -> MeridianState:
     """The final state of a spec's full schedule, in closed form.
 
     Raising a fiber n times left-multiplies its meridian by the exceptional

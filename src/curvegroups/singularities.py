@@ -117,15 +117,6 @@ def type_key(t: SingularityType):
     return key
 
 
-def tacnode_type(branches: int, order: int = 0) -> SingularityType:
-    """Type of a point where ``branches`` smooth branches share a tangent to
-    contact ``order``: the multiplicity d repeated order+1 times.  Order 0
-    is an ordinary d-fold point [d]."""
-    _require_ints("tacnode branch counts", (branches,), 2)
-    _require_ints("tacnode orders", (order,), 0)
-    return SingularityType.from_runs(((branches, order + 1),))
-
-
 def blowdown_type(head: int, clusters: Sequence[SingularityType]) -> SingularityType:
     """Blow-down of the given clusters under a point of multiplicity ``head``.
 

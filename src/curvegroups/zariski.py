@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import (
-    ConstructionSpec,
     General,
+    Schedule,
     _combinatorial_step,
     _group_step,
     added_singularities,
@@ -39,7 +39,7 @@ class ZariskiPairRecord:
     combinatorics_equal: bool
     distinguisher: str
     generation: int
-    parent_spec: ConstructionSpec | None = None
+    parent_spec: Schedule | None = None
 
     def __post_init__(self):
         _require_ints("generations", (self.generation,), 0)
@@ -96,7 +96,7 @@ def _check_liftable(pair: ZariskiPairRecord) -> None:
         raise ValueError("lift requires a certified non-cyclic group on the right curve")
 
 
-def lift_pair(pair: ZariskiPairRecord, spec: ConstructionSpec) -> ZariskiPairRecord:
+def lift_pair(pair: ZariskiPairRecord, spec: Schedule) -> ZariskiPairRecord:
     """Apply one construction to both curves of a pair.
 
     Requires equal combinatorics, irreducibility on both sides, a finite
@@ -107,7 +107,7 @@ def lift_pair(pair: ZariskiPairRecord, spec: ConstructionSpec) -> ZariskiPairRec
     return _lift(pair, spec, {})
 
 
-def _lift(pair: ZariskiPairRecord, spec: ConstructionSpec, steps: dict) -> ZariskiPairRecord:
+def _lift(pair: ZariskiPairRecord, spec: Schedule, steps: dict) -> ZariskiPairRecord:
     # ``pair`` has passed _check_liftable; ``steps`` maps a kernel order N to
     # both sides' group steps for this pair, and is filled on first use
     n = spec.kernel_order

@@ -10,8 +10,9 @@ schedule by a separate rule per text form (replayed one elementary
 transformation at a time), singularity types entry by entry on their
 expanded sequences, type text by recursive descent over runs, property-flag
 closure by sweeping the implications to a fixpoint, group descriptors by one class per shape with
-cyclic parts merged through prime factorisation, and descriptor text by
-splitting at top-level separators and matching each summand recursively.
+cyclic parts merged through prime factorisation, first homology read off a
+descriptor record field by field, and descriptor text by splitting at
+top-level separators and matching each summand recursively.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from curvegroups import extensions
 from curvegroups.constructions import General, apply
 from curvegroups.documents import encode_int, presentation_to_json
 from curvegroups.extensions import PropertyFlags, propagate_properties
-from curvegroups.fpgroup import Presentation, Word, commutator, generator
+from curvegroups.fpgroup import AbelianInvariants, Presentation, abelianization
 from curvegroups.meridians import elem_first, elem_second, init_state
 from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type, multiset
 from curvegroups.zariski import DISTINGUISHER_CYCLIC, ZariskiPairRecord
@@ -598,20 +599,19 @@ def ref_tree(g):
     return {"kind": "tower", "base": ref_tree(g.base), "kernels": [encode_int(n) for n in g.kernels]}
 
 
-def ref_presentation(g):
-    if isinstance(g, Cyclic):
-        return Presentation(("x",), (Word.parse(f"x^{g.order}"),))
-    if isinstance(g, (Free, FreeAbelian)):
-        names = tuple(f"x{i}" for i in range(1, g.rank + 1))
-        if isinstance(g, Free):
-            return Presentation(names)
-        return Presentation(
-            names,
-            tuple(commutator(generator(a), generator(b)) for i, a in enumerate(names) for b in names[i + 1 :]),
-        )
-    if isinstance(g, FiniteTagged):
-        return g.presentation
-    return None
+def h1_of_record(g):
+    """First homology of the group a descriptor record stands for, read off
+    its fields: each free factor F_k and the abelian part's Z^r give free
+    rank, the abelian part gives its torsion, and a finite part gives the
+    abelianization of its presentation.  None when ``g`` has a tower or a
+    finite part without a presentation."""
+    if g.towers or any(pres is None for _, pres in g.finite):
+        return None
+    finite = [abelianization(pres) for _, pres in g.finite]
+    return AbelianInvariants(
+        sum(g.free) + g.abelian.free_rank + sum(a.free_rank for a in finite),
+        _invariant_factor_chain(g.abelian.torsion + tuple(d for a in finite for d in a.torsion)),
+    )
 
 
 def close_flags_by_fixpoint(state):

@@ -353,6 +353,8 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         (lambda curve: curve["log"][0].update(op=None), "curve.log[0].op: expected a string, got null"),
         (lambda curve: curve["log"][0].update(detail=[]), "curve.log[0].detail: expected a string, got an array"),
         (lambda curve: curve["log"][0].pop("detail"), "curve.log[0].detail: missing key"),
+        (lambda curve: curve.update(irreducible=False), "curve.irreducible: expected true, got false"),
+        (lambda curve: curve.update(irreducible="yes"), "curve.irreducible: expected true, got a string"),
     ],
     ids=[
         "non-string-type",
@@ -382,6 +384,8 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         "null-log-op",
         "non-string-log-detail",
         "log-entry-without-detail",
+        "irreducible-disagrees-with-degrees",
+        "non-boolean-irreducible",
     ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):

@@ -3,18 +3,16 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from curvegroups.constructions import General, Special, Uludag, apply, audit_self_intersection
+from curvegroups.constructions import General, Special, Uludag, apply, audit_self_intersection, parse_spec
 from curvegroups.curves import custom_seed, seed_generic_lines, seed_pencil, seed_smooth
 from curvegroups.documents import (
-    audit_from_json,
+    _group_from_json,
     audit_to_json,
     curve_from_json,
     curve_to_json,
     decode_int,
     encode_int,
-    group_from_json,
     group_to_json,
-    pair_from_json,
     pair_to_json,
     parse_document,
     render_document,
@@ -56,13 +54,13 @@ def test_document_keeps_reports_section():
     report = audit_self_intersection(1, Special(1))
     text = render_document(seed_smooth(1), {"audit": audit_to_json(report)})
     _, reports = parse_document(text)
-    assert audit_from_json(reports["audit"]) == report
+    assert reports == {"audit": audit_to_json(report)}
 
 
 def test_group_round_trip_with_presentation_inside_tower():
     pres = Presentation(("x", "y"), (Word.parse("x^2 y^-3"),))
     g = Tower(FiniteTagged(12, pres), (2, 2))
-    assert group_from_json(group_to_json(g)) == g
+    assert _group_from_json(group_to_json(g), "group") == g
 
 
 def test_curve_json_is_deterministic():
@@ -86,6 +84,15 @@ def test_parse_document_validates_degree():
         parse_document(json.dumps(doc))
 
 
+def test_irreducible_must_agree_with_component_degrees():
+    doc = json.loads(render_document(seed_pencil(3)))
+    doc["curve"]["irreducible"] = True
+    with pytest.raises(ValueError, match=r"^curve\.irreducible: expected false, got true$"):
+        parse_document(json.dumps(doc))
+    del doc["curve"]["irreducible"]  # a missing value is derived
+    assert parse_document(json.dumps(doc))[0] == seed_pencil(3)
+
+
 def test_pair_record_round_trip():
     sings = multiset([SingularityType((2,))] * 6)
     left = custom_seed((6,), sings, Cyclic(6))
@@ -93,7 +100,15 @@ def test_pair_record_round_trip():
         (6,), sings, FiniteTagged(12), asserted_props=PropertyFlags(abelian=False)
     )
     record = lift_pair(seed_pair(left, right), Uludag(1))
-    assert pair_from_json(json.loads(json.dumps(pair_to_json(record)))) == record
+    data = json.loads(json.dumps(pair_to_json(record)))
+    assert curve_from_json(data["left"]) == record.left
+    assert curve_from_json(data["right"]) == record.right
+    assert (data["combinatorics_equal"], data["distinguisher"], data["generation"]) == (
+        record.combinatorics_equal,
+        record.distinguisher,
+        record.generation,
+    )
+    assert parse_spec(data["parent_spec"]) == record.parent_spec
 
 
 seeds_st = st.one_of(
@@ -127,7 +142,7 @@ def test_document_round_trip_fuzzed(seed, specs):
     ],
 )
 def test_group_trees_read_into_canonical_form(tree, expected):
-    g = group_from_json({"form": "unused", "tree": tree})
+    g = _group_from_json({"form": "unused", "tree": tree}, "group")
     assert g == expected
     assert group_to_json(g) == group_to_json(expected)
 
@@ -142,4 +157,4 @@ def test_group_trees_read_into_canonical_form(tree, expected):
 )
 def test_group_tree_rejects_unknown_kinds_and_short_sums(tree):
     with pytest.raises(ValueError):
-        group_from_json({"tree": tree})
+        _group_from_json({"tree": tree}, "group")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +84,12 @@ def test_word_parse_rejects_garbage():
         Word.parse("a^")
     with pytest.raises(ValueError):
         Word.parse("3a")
+
+
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, "1"])
+def test_word_rejects_letter_signs_that_are_not_int(sign):
+    with pytest.raises(ValueError, match=f"^letter sign must be \\+1 or -1, got {re.escape(repr(sign))}$"):
+        Word((("a", sign),))
 
 
 def test_word_exponent_sum():

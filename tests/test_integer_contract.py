@@ -18,7 +18,7 @@ from curvegroups.fpgroup import (
     smith_normal_form,
 )
 from curvegroups.meridians import MeridianState
-from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type, tacnode_type
+from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type
 from curvegroups.zariski import DISTINGUISHER_NONE, ZariskiPairRecord, enumerate_family, seed_pair
 
 NODE = SingularityType((2,))
@@ -49,8 +49,6 @@ ENTRY_POINTS = [
     ("BlowdownEntry", lambda v: BlowdownEntry(v, (NODE,)), "blow-down head multiplicities", 2),
     ("blowdown_type", lambda v: blowdown_type(v, [NODE, NODE]), "blow-down head multiplicities", 2),
     ("blowdown_type-flat", lambda v: blowdown_type(v, [NODE]), "blow-down head multiplicities", 2),
-    ("tacnode_type-branches", lambda v: tacnode_type(v), "tacnode branch counts", 2),
-    ("tacnode_type-order", lambda v: tacnode_type(2, v), "tacnode orders", 0),
     ("MeridianState", lambda v: MeridianState(v, EMPTY_WORD, ()), "Hirzebruch indices", 1),
     (
         "ZariskiPairRecord",

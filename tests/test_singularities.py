@@ -12,7 +12,6 @@ from curvegroups.singularities import (
     format_type,
     multiset,
     parse_type,
-    tacnode_type,
 )
 
 
@@ -20,24 +19,29 @@ from curvegroups.singularities import (
 # constructors
 
 
+def tacnode(branches, order):
+    """``branches`` smooth branches sharing a tangent to contact ``order``:
+    the multiplicity repeated order+1 times."""
+    return SingularityType.from_runs(((branches, order + 1),))
+
+
 def test_tacnode_usual():
     # the usual tacnode: two branches, contact order 1
-    assert tacnode_type(2, 1) == SingularityType((2, 2))
+    assert tacnode(2, 1) == SingularityType((2, 2))
 
 
 def test_tacnode_order_zero_is_ordinary_point():
-    assert tacnode_type(5, 0) == SingularityType((5,))
+    assert tacnode(5, 0) == SingularityType((5,))
 
 
 def test_tacnode_higher_order():
-    assert tacnode_type(3, 2) == SingularityType((3, 3, 3))
+    assert tacnode(3, 2) == SingularityType((3, 3, 3))
 
 
 def test_tacnode_rejects_single_branch():
-    with pytest.raises(ValueError):
-        tacnode_type(1, 0)
-    with pytest.raises(ValueError):
-        tacnode_type(2, -1)
+    # a negative contact order is an empty run
+    with pytest.raises(ValueError, match="^run lengths must be >= 1, got 0$"):
+        tacnode(2, -1)
 
 
 def test_blowdown_single_flat_cluster_flattens():
@@ -92,7 +96,7 @@ def test_drop_counts_unit_entries():
 @pytest.mark.parametrize("d", range(2, 7))
 @pytest.mark.parametrize("q", range(0, 7))
 def test_drop_of_tacnode(d, q):
-    assert drop(tacnode_type(d, q)) == (q + 1) * d * d
+    assert drop(tacnode(d, q)) == (q + 1) * d * d
 
 
 types_st = st.recursive(
@@ -285,25 +289,25 @@ def test_parse_type_depth_costs_no_recursion():
 
 
 def test_multiset_ignores_insertion_order():
-    a = multiset([tacnode_type(2, 1), tacnode_type(3, 0)])
-    b = multiset([tacnode_type(3, 0), tacnode_type(2, 1)])
+    a = multiset([tacnode(2, 1), tacnode(3, 0)])
+    b = multiset([tacnode(3, 0), tacnode(2, 1)])
     assert a == b
 
 
 def test_multiset_counts_multiplicity():
-    a = multiset([tacnode_type(2, 0), tacnode_type(2, 0)])
-    b = multiset([tacnode_type(2, 0)])
+    a = multiset([tacnode(2, 0), tacnode(2, 0)])
+    b = multiset([tacnode(2, 0)])
     assert a != b
     assert len(a) == 2
 
 
 def test_multiset_union():
-    a = multiset([tacnode_type(2, 0)])
-    b = multiset([tacnode_type(2, 1)])
-    assert a + b == multiset([tacnode_type(2, 1), tacnode_type(2, 0)])
+    a = multiset([tacnode(2, 0)])
+    b = multiset([tacnode(2, 1)])
+    assert a + b == multiset([tacnode(2, 1), tacnode(2, 0)])
 
 
-@given(st.permutations([tacnode_type(2, 1), tacnode_type(2, 1), tacnode_type(3, 0), tacnode_type(5, 2)]))
+@given(st.permutations([tacnode(2, 1), tacnode(2, 1), tacnode(3, 0), tacnode(5, 2)]))
 def test_multiset_permutation_invariance(types):
-    reference = multiset([tacnode_type(2, 1), tacnode_type(2, 1), tacnode_type(3, 0), tacnode_type(5, 2)])
+    reference = multiset([tacnode(2, 1), tacnode(2, 1), tacnode(3, 0), tacnode(5, 2)])
     assert multiset(types) == reference
