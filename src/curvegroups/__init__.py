@@ -8,6 +8,8 @@ identity, replay meridian words on Hirzebruch surfaces, and lift Zariski
 pairs into infinite families.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constructions import (
     AuditReport,
     General,
@@ -87,6 +89,8 @@ from .zariski import (
     seed_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 
 __version__ = "0.1.0"

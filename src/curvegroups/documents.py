@@ -2,7 +2,9 @@
 
 Documents carry an explicit schema version.  Curve documents round-trip
 losslessly through :func:`render_document` and :func:`parse_document`;
-audit reports, meridian states and pair records are only written.
+audit reports, meridian states and pair records are only written.  The
+reader names the path of every field it refuses, including a key it does
+not know and a required key that is absent.
 Output ordering is deterministic (sorted keys, canonical multiset order) so
 diffs over fixtures stay meaningful.  Integers above 2^53 - 1 are encoded
 as decimal strings to survive consumers that read JSON numbers as doubles.
@@ -43,17 +45,26 @@ def encode_int(n: int) -> int | str:
     return n if abs(n) <= _SAFE_BOUND else str(n)
 
 
-def decode_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer or decimal string, got {value!r}")
-    return int(value)
+def decode_int(value, path: str) -> int:
+    """The integer at ``path``: a JSON integer, or a decimal string."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    shown = json.dumps(value) if type(value) is str else _got(value)
+    raise ValueError(f"{path}: expected an integer or decimal string, got {shown}")
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", type(None): "null"}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 
 
 def _got(value) -> str:
-    return _JSON_TYPES.get(type(value), repr(value))
+    """A JSON value as an error message names it: its kind for objects,
+    arrays and strings, its JSON text for other scalars."""
+    return _JSON_TYPES.get(type(value)) or json.dumps(value)
 
 
 def _expect(value, kind: type, path: str):
@@ -62,11 +73,41 @@ def _expect(value, kind: type, path: str):
     return value
 
 
-def _key(data: dict, key: str, path: str):
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{path}.{key}: missing key") from None
+def _keys(required: str, optional: str = "") -> tuple[frozenset, frozenset]:
+    """The key rule of one kind of object: (required keys, allowed keys)."""
+    needed = frozenset(required.split())
+    return needed, needed | frozenset(optional.split())
+
+
+def _fields(data, path: str, keys: tuple[frozenset, frozenset]) -> dict:
+    """``data`` once it is an object with every required key of ``keys``
+    and no other key than its allowed ones; an unknown key is named first."""
+    required, allowed = keys
+    have = _expect(data, dict, path).keys()
+    if have <= allowed and required <= have:
+        return data
+    unknown = sorted(have - allowed)
+    if unknown:
+        raise ValueError(f"{path}.{unknown[0]}: unknown key")
+    raise ValueError(f"{path}.{min(required - have)}: missing key")
+
+
+_DOCUMENT_KEYS = _keys("schema_version curve", "reports")
+_CURVE_KEYS = _keys("component_degrees degree singularities group props", "irreducible family_tag log")
+_GROUP_FORM_KEYS = _keys("form")
+_GROUP_TREE_KEYS = _keys("tree", "form")
+_PRESENTATION_KEYS = _keys("generators relators")
+_LOG_KEYS = _keys("seq op detail")
+_PROPS_KEYS = _keys("", " ".join(_TRISTATE_FIELDS) + " p_group nilpotency_class")
+_NODE_KEYS = {
+    "cyclic": _keys("kind order"),
+    "free": _keys("kind rank"),
+    "free-abelian": _keys("kind rank"),
+    "finite": _keys("kind order", "presentation"),
+    "direct-sum": _keys("kind parts"),
+    "tower": _keys("kind base kernels"),
+}
+_ANY_NODE_KEYS = _keys("kind", "order rank presentation parts base kernels")
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -77,9 +118,9 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def _presentation_from_json(data, path: str) -> Presentation:
-    _expect(data, dict, path)
-    gens = _expect(_key(data, "generators", path), list, f"{path}.generators")
-    rels = _expect(_key(data, "relators", path), list, f"{path}.relators")
+    _fields(data, path, _PRESENTATION_KEYS)
+    gens = _expect(data["generators"], list, f"{path}.generators")
+    rels = _expect(data["relators"], list, f"{path}.relators")
     return Presentation(
         tuple(_expect(g, str, f"{path}.generators[{i}]") for i, g in enumerate(gens)),
         tuple(Word.parse(_expect(r, str, f"{path}.relators[{i}]")) for i, r in enumerate(rels)),
@@ -102,30 +143,33 @@ def _group_tree(g: GroupDescriptor) -> dict:
 
 
 def _group_from_tree(data, path: str) -> GroupDescriptor:
-    kind = _key(_expect(data, dict, path), "kind", path)
+    kind = _fields(data, path, _ANY_NODE_KEYS)["kind"]
+    if type(kind) is not str or kind not in _NODE_KEYS:
+        shown = json.dumps(kind) if type(kind) is str else _got(kind)
+        raise ValueError(f"{path}.kind: unknown group kind {shown}")
+    _fields(data, path, _NODE_KEYS[kind])
     if kind == "cyclic":
-        return Cyclic(decode_int(_key(data, "order", path)))
+        return Cyclic(decode_int(data["order"], f"{path}.order"))
     if kind == "free":
-        return Free(decode_int(_key(data, "rank", path)))
+        return Free(decode_int(data["rank"], f"{path}.rank"))
     if kind == "free-abelian":
-        return FreeAbelian(decode_int(_key(data, "rank", path)))
+        return FreeAbelian(decode_int(data["rank"], f"{path}.rank"))
     if kind == "finite":
         pres = data.get("presentation")
         return FiniteTagged(
-            decode_int(_key(data, "order", path)),
+            decode_int(data["order"], f"{path}.order"),
             None if pres is None else _presentation_from_json(pres, f"{path}.presentation"),
         )
     if kind == "direct-sum":
-        parts = _expect(_key(data, "parts", path), list, f"{path}.parts")
+        parts = _expect(data["parts"], list, f"{path}.parts")
         if len(parts) < 2:
-            raise ValueError("a direct sum needs at least two parts")
+            raise ValueError(f"{path}.parts: a direct sum needs at least two parts")
         return direct_sum(*(_group_from_tree(p, f"{path}.parts[{i}]") for i, p in enumerate(parts)))
-    if kind == "tower":
-        return Tower(
-            _group_from_tree(_key(data, "base", path), f"{path}.base"),
-            tuple(decode_int(n) for n in _expect(_key(data, "kernels", path), list, f"{path}.kernels")),
-        )
-    raise ValueError(f"unknown group kind {kind!r}")
+    kernels = _expect(data["kernels"], list, f"{path}.kernels")
+    return Tower(
+        _group_from_tree(data["base"], f"{path}.base"),
+        tuple(decode_int(n, f"{path}.kernels[{i}]") for i, n in enumerate(kernels)),
+    )
 
 
 def group_to_json(g: GroupDescriptor) -> dict:
@@ -134,10 +178,9 @@ def group_to_json(g: GroupDescriptor) -> dict:
 
 
 def _group_from_json(data, path: str) -> GroupDescriptor:
-    _expect(data, dict, path)
-    if "tree" in data:
-        return _group_from_tree(data["tree"], f"{path}.tree")
-    return parse_descriptor(_expect(_key(data, "form", path), str, f"{path}.form"))
+    if "tree" in _expect(data, dict, path):  # lossless; "form" is then only for display
+        return _group_from_tree(_fields(data, path, _GROUP_TREE_KEYS)["tree"], f"{path}.tree")
+    return parse_descriptor(_expect(_fields(data, path, _GROUP_FORM_KEYS)["form"], str, f"{path}.form"))
 
 
 def props_to_json(p: PropertyFlags) -> dict:
@@ -148,20 +191,18 @@ def props_to_json(p: PropertyFlags) -> dict:
 
 
 def props_from_json(data: dict, path: str) -> PropertyFlags:
-    kw = dict(_expect(data, dict, path))
-    unknown = sorted(kw.keys() - {*_TRISTATE_FIELDS, "p_group", "nilpotency_class"})
-    if unknown:
-        raise ValueError(f"{path}.{unknown[0]}: unknown key")
+    kw = dict(_fields(data, path, _PROPS_KEYS))
     for name in _TRISTATE_FIELDS:
         value = kw.get(name)
         if value is not None and type(value) is not bool:
             raise ValueError(f"{path}.{name}: expected true, false or null, got {_got(value)}")
     cls = kw.get("nilpotency_class")
     if cls is not None:
-        cls = tuple(_expect(cls, list, f"{path}.nilpotency_class"))
-    kw["nilpotency_class"] = cls or None
+        if len(_expect(cls, list, f"{path}.nilpotency_class")) != 2:
+            raise ValueError(f"{path}.nilpotency_class: expected [lo, hi], got {json.dumps(cls)}")
+        kw["nilpotency_class"] = tuple(cls)
     if kw.get("p_group") is not None:
-        kw["p_group"] = decode_int(kw["p_group"])
+        kw["p_group"] = decode_int(kw["p_group"], f"{path}.p_group")
     return PropertyFlags(**kw)
 
 
@@ -179,27 +220,26 @@ def curve_to_json(c: CurveDatum) -> dict:
 
 
 def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
-    _expect(data, dict, path)
-    degrees = _expect(_key(data, "component_degrees", path), list, f"{path}.component_degrees")
-    types = _expect(_key(data, "singularities", path), list, f"{path}.singularities")
+    _fields(data, path, _CURVE_KEYS)
+    degrees = _expect(data["component_degrees"], list, f"{path}.component_degrees")
+    types = _expect(data["singularities"], list, f"{path}.singularities")
     tag = data.get("family_tag")
     if tag is not None and type(tag) is not str:
         raise ValueError(f"{path}.family_tag: expected a string or null, got {_got(tag)}")
     curve = CurveDatum(
-        component_degrees=tuple(decode_int(d) for d in degrees),
+        component_degrees=tuple(decode_int(d, f"{path}.component_degrees[{i}]") for i, d in enumerate(degrees)),
         singularities=multiset(parse_type(t) for t in types),
-        group=_group_from_json(_key(data, "group", path), f"{path}.group"),
-        props=props_from_json(_key(data, "props", path), f"{path}.props"),
+        group=_group_from_json(data["group"], f"{path}.group"),
+        props=props_from_json(data["props"], f"{path}.props"),
         family_tag=tag,
         log=_log_from_json(data.get("log", []), f"{path}.log"),
     )
-    declared = decode_int(_key(data, "degree", path))
+    declared = decode_int(data["degree"], f"{path}.degree")
     if declared != curve.degree:
         raise ValueError(f"document degree {declared} does not match component degrees")
     irreducible = data.get("irreducible", curve.irreducible)
     if irreducible is not curve.irreducible:
-        got = json.dumps(irreducible) if type(irreducible) is bool else _got(irreducible)
-        raise ValueError(f"{path}.irreducible: expected {json.dumps(curve.irreducible)}, got {got}")
+        raise ValueError(f"{path}.irreducible: expected {_got(curve.irreducible)}, got {_got(irreducible)}")
     return curve
 
 
@@ -207,11 +247,11 @@ def _log_from_json(entries, path: str) -> tuple[LogEntry, ...]:
     log = []
     for i, e in enumerate(_expect(entries, list, path)):
         at = f"{path}[{i}]"
-        seq = _key(_expect(e, dict, at), "seq", at)
+        seq = _fields(e, at, _LOG_KEYS)["seq"]
         if type(seq) is not int or seq != i:
             raise ValueError(f"{at}.seq: expected {i}, got {_got(seq)}")
-        op = _expect(_key(e, "op", at), str, f"{at}.op")
-        log.append(LogEntry(i, op, _expect(_key(e, "detail", at), str, f"{at}.detail")))
+        op = _expect(e["op"], str, f"{at}.op")
+        log.append(LogEntry(i, op, _expect(e["detail"], str, f"{at}.detail")))
     return tuple(log)
 
 
@@ -266,6 +306,7 @@ def parse_document(text: str) -> tuple[CurveDatum, dict]:
             raise ValueError("document is missing schema_version")
         if data["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data['schema_version']!r}")
+        _fields(data, "document", _DOCUMENT_KEYS)
         return curve_from_json(data["curve"]), data.get("reports", {})
     except RecursionError:
         raise ValueError("document is nested too deeply") from None

@@ -21,8 +21,8 @@ and the central-extension rules all read that one view:
 :func:`central_extend` applies the recognition rules for extending by a
 cyclic group of order N; :func:`split_test` decides split/non-split from
 first homology; :func:`propagate_properties` carries group properties
-through a central extension, degrading to "unknown" whenever preservation
-is not guaranteed.
+through a run of central extensions, degrading to "unknown" whenever
+preservation is not guaranteed.
 """
 
 from __future__ import annotations
@@ -501,9 +501,7 @@ def props_from_descriptor(g: GroupDescriptor) -> PropertyFlags:
     # a loop, not a comprehension: one stack frame per level of tower nesting
     for kind, value, extra in parts:
         if kind == "tower":
-            flags = props_from_descriptor(value)
-            for n in extra:
-                flags = propagate_properties(flags, n)
+            flags = propagate_properties(props_from_descriptor(value), *extra)
         elif kind in ("cyclic", "finite") and value == 1:
             flags = _ALL_TRUE
         elif kind == "cyclic":
@@ -546,34 +544,29 @@ def props_from_descriptor(g: GroupDescriptor) -> PropertyFlags:
     return PropertyFlags(**kw, p_group=primes.pop() if len(primes) == 1 else None, nilpotency_class=cls)
 
 
-def propagate_properties(p: PropertyFlags, kernel_order: int) -> PropertyFlags:
-    """Carry flags through a central extension by Z/kernel_order.
+def propagate_properties(p: PropertyFlags, *kernel_orders: int) -> PropertyFlags:
+    """Carry flags through central extensions by Z/n, one for each listed
+    kernel order n, in one step (the closed form of the one-kernel rule
+    applied once per kernel).
 
     Preserved true values: finite, solvable, supersolvable, polycyclic,
     nilpotent, and the virtual variants; being nonabelian (abelian=False)
-    persists; a p-group stays one exactly when the kernel order is a power
-    of the same p.  A nilpotency class interval [lo, hi] widens to
-    [lo, hi+1].  Everything else degrades to unknown; unknown never
-    upgrades.
+    persists; a p-group stays one exactly when every kernel order is a
+    power of the same p.  A nilpotency class interval [lo, hi] widens to
+    [lo, hi+k] over k kernels.  Everything else degrades to unknown;
+    unknown never upgrades.
     """
-    _require_ints("kernel orders", (kernel_order,), 2)
-    cls = None
-    if p.nilpotency_class is not None:
-        cls = (p.nilpotency_class[0], p.nilpotency_class[1] + 1)
-    keeps_p = p.p_group is not None and _prime_power(kernel_order) == p.p_group
-    return PropertyFlags(
-        finite=True if p.finite is True else None,
-        abelian=False if p.abelian is False else None,
-        cyclic=None,
-        solvable=True if p.solvable is True else None,
-        supersolvable=True if p.supersolvable is True else None,
-        polycyclic=True if p.polycyclic is True else None,
-        nilpotent=True if p.nilpotent is True else None,
-        virtually_nilpotent=True if p.virtually_nilpotent is True else None,
-        virtually_solvable=True if p.virtually_solvable is True else None,
-        p_group=p.p_group if keeps_p else None,
-        nilpotency_class=cls,
-    )
+    if not kernel_orders:
+        raise ValueError("propagate_properties needs at least one kernel order")
+    _require_ints("kernel orders", kernel_orders, 2)
+    kw = {name: True if getattr(p, name) is True else None for name in _TRISTATE_FIELDS}
+    kw.update(abelian=False if p.abelian is False else None, cyclic=None)
+    cls = p.nilpotency_class
+    if cls is not None:
+        cls = (cls[0], cls[1] + len(kernel_orders))
+    q = p.p_group
+    keeps_p = q is not None and all(_prime_power(n) == q for n in kernel_orders)
+    return PropertyFlags(**kw, p_group=q if keeps_p else None, nilpotency_class=cls)
 
 
 # ---------------------------------------------------------------------------

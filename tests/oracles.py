@@ -24,7 +24,7 @@ from curvegroups import extensions
 
 from curvegroups.constructions import General, apply
 from curvegroups.documents import encode_int, presentation_to_json
-from curvegroups.extensions import PropertyFlags, propagate_properties
+from curvegroups.extensions import PropertyFlags
 from curvegroups.fpgroup import AbelianInvariants, Presentation, abelianization
 from curvegroups.meridians import elem_first, elem_second, init_state
 from curvegroups.singularities import BlowdownEntry, SingularityType, blowdown_type, multiset
@@ -706,10 +706,36 @@ def ref_props(g):
             nilpotency_class=cls,
             **{name: _tri_all(getattr(p, name) for p in props) for name in names},
         )
-    flags = ref_props(g.base)
-    for n in g.kernels:
-        flags = propagate_properties(flags, n)
-    return flags
+    return ref_propagate(ref_props(g.base), g.kernels)
+
+
+def ref_propagate_one(p, n):
+    """The one-kernel preservation rule: flags after one central extension
+    by Z/n.  True values other than abelian and cyclic persist, and so does
+    abelian=False; a p-group stays one when n is a power of that p; the
+    class bound grows by one; everything else becomes unknown."""
+    cls = None if p.nilpotency_class is None else (p.nilpotency_class[0], p.nilpotency_class[1] + 1)
+    keeps_p = p.p_group is not None and _trial_prime_power(n) == p.p_group
+    return PropertyFlags(
+        finite=True if p.finite is True else None,
+        abelian=False if p.abelian is False else None,
+        cyclic=None,
+        solvable=True if p.solvable is True else None,
+        supersolvable=True if p.supersolvable is True else None,
+        polycyclic=True if p.polycyclic is True else None,
+        nilpotent=True if p.nilpotent is True else None,
+        virtually_nilpotent=True if p.virtually_nilpotent is True else None,
+        virtually_solvable=True if p.virtually_solvable is True else None,
+        p_group=p.p_group if keeps_p else None,
+        nilpotency_class=cls,
+    )
+
+
+def ref_propagate(p, kernels):
+    """The one-kernel rule folded over ``kernels``, innermost first."""
+    for n in kernels:
+        p = ref_propagate_one(p, n)
+    return p
 
 
 def ref_central_extend(g, n, *, irreducible=False, family_tag=None):

@@ -327,7 +327,9 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
             "curve.group.tree.parts[0]: expected an object, got 5",
         ),
         (
-            lambda curve: curve.update(group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": 5}}}),
+            lambda curve: curve.update(
+                group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": 5, "relators": []}}}
+            ),
             "curve.group.tree.presentation.generators: expected an array, got 5",
         ),
         (
@@ -347,7 +349,7 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         (lambda curve: curve.update(singularities=5), "curve.singularities: expected an array, got 5"),
         (lambda curve: curve.update(family_tag=5), "curve.family_tag: expected a string or null, got 5"),
         (lambda curve: curve["log"][0].update(seq="x"), "curve.log[0].seq: expected 0, got a string"),
-        (lambda curve: curve["log"][0].update(seq=False), "curve.log[0].seq: expected 0, got False"),
+        (lambda curve: curve["log"][0].update(seq=False), "curve.log[0].seq: expected 0, got false"),
         (lambda curve: curve["log"][0].update(seq=0.0), "curve.log[0].seq: expected 0, got 0.0"),
         (lambda curve: curve["log"][0].update(seq=3), "curve.log[0].seq: expected 0, got 3"),
         (lambda curve: curve["log"][0].update(op=None), "curve.log[0].op: expected a string, got null"),
@@ -355,6 +357,47 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         (lambda curve: curve["log"][0].pop("detail"), "curve.log[0].detail: missing key"),
         (lambda curve: curve.update(irreducible=False), "curve.irreducible: expected true, got false"),
         (lambda curve: curve.update(irreducible="yes"), "curve.irreducible: expected true, got a string"),
+        (lambda curve: curve.update(irreducibel=True), "curve.irreducibel: unknown key"),
+        (lambda curve: curve.pop("degree"), "curve.degree: missing key"),
+        (lambda curve: curve["group"].update(extra=1), "curve.group.extra: unknown key"),
+        (lambda curve: curve["group"]["tree"].update(rank=1), "curve.group.tree.rank: unknown key"),
+        (lambda curve: curve["group"]["tree"].update(colour=1), "curve.group.tree.colour: unknown key"),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "cyclic", "order": 2, "presentation": None}}),
+            "curve.group.tree.presentation: unknown key",
+        ),
+        (lambda curve: curve.update(group={"tree": {"kind": "cyclic"}}), "curve.group.tree.order: missing key"),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "quaternion", "order": 8}}),
+            'curve.group.tree.kind: unknown group kind "quaternion"',
+        ),
+        (
+            lambda curve: curve.update(
+                group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": [], "relators": [], "x": 1}}}
+            ),
+            "curve.group.tree.presentation.x: unknown key",
+        ),
+        (lambda curve: curve["log"][0].update(when="now"), "curve.log[0].when: unknown key"),
+        (
+            lambda curve: curve["props"].update(nilpotency_class=[1]),
+            "curve.props.nilpotency_class: expected [lo, hi], got [1]",
+        ),
+        (
+            lambda curve: curve["props"].update(nilpotency_class=[]),
+            "curve.props.nilpotency_class: expected [lo, hi], got []",
+        ),
+        (
+            lambda curve: curve.update(degree="x"),
+            'curve.degree: expected an integer or decimal string, got "x"',
+        ),
+        (
+            lambda curve: curve.update(component_degrees=[2.0]),
+            "curve.component_degrees[0]: expected an integer or decimal string, got 2.0",
+        ),
+        (
+            lambda curve: curve["props"].update(p_group=True),
+            "curve.props.p_group: expected an integer or decimal string, got true",
+        ),
     ],
     ids=[
         "non-string-type",
@@ -386,6 +429,21 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         "log-entry-without-detail",
         "irreducible-disagrees-with-degrees",
         "non-boolean-irreducible",
+        "unknown-curve-key",
+        "curve-without-degree",
+        "unknown-group-key",
+        "key-of-another-tree-kind",
+        "unknown-tree-key",
+        "presentation-on-a-cyclic-node",
+        "cyclic-node-without-order",
+        "unknown-group-kind",
+        "unknown-presentation-key",
+        "unknown-log-entry-key",
+        "one-bound-nilpotency-class",
+        "empty-nilpotency-class",
+        "non-decimal-degree",
+        "float-component-degree",
+        "boolean-p-group",
     ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
@@ -404,8 +462,19 @@ def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
     [
         (lambda doc: doc.update(curve=None), "curve: expected an object, got null"),
         (lambda doc: [doc], "document: expected an object, got an array"),
+        (lambda doc: doc.update(extra=1), "document.extra: unknown key"),
+        (lambda doc: {"schema_version": "1"}, "document.curve: missing key"),
+        (lambda doc: {"schema_version": "2", "extra": 1}, "unsupported schema_version '2'"),
+        (lambda doc: {"curve": doc["curve"]}, "document is missing schema_version"),
     ],
-    ids=["null-curve", "array-document"],
+    ids=[
+        "null-curve",
+        "array-document",
+        "unknown-document-key",
+        "document-without-curve",
+        "schema-version-checked-first",
+        "document-without-schema-version",
+    ],
 )
 def test_hand_edited_document_top_level_is_a_named_error(tmp_path, capsys, edit, message):
     doc = json.loads(run_cli(capsys, "seed", "smooth", "--degree", "2")[1])

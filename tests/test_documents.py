@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,12 +29,11 @@ def test_int_encoding_thresholds():
     assert encode_int(-(2**53 - 1)) == -(2**53 - 1)
     big = 2**64 + 3
     assert encode_int(big) == str(big)
-    assert decode_int(encode_int(big)) == big
-    assert decode_int(5) == 5
-    with pytest.raises(ValueError):
-        decode_int(1.5)
-    with pytest.raises(ValueError):
-        decode_int(True)
+    assert decode_int(encode_int(big), "n") == big
+    assert decode_int(5, "n") == 5
+    for value, got in ((1.5, "1.5"), (True, "true"), (None, "null"), ("x", '"x"'), ([], "an array")):
+        with pytest.raises(ValueError, match=f"^curve\\.degree: expected an integer or decimal string, got {re.escape(got)}$"):
+            decode_int(value, "curve.degree")
 
 
 def test_document_round_trip_for_seeds():

@@ -3,7 +3,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvegroups import extensions
 from curvegroups.extensions import (
@@ -526,6 +526,53 @@ def test_propagate_is_monotone_information_loss(kwargs, n):
     for name in ("finite", "solvable", "nilpotent", "virtually_solvable"):
         before, after = getattr(flags, name), getattr(out, name)
         assert after is None or after == before
+
+
+@st.composite
+def valid_flags(draw):
+    """A flag record that construction accepts: nine drawn tri-states, a
+    small prime or None, and a class interval or None."""
+    kw = {name: draw(flag_values) for name in extensions._TRISTATE_FIELDS}
+    kw["p_group"] = draw(st.sampled_from([None, 2, 3, 5]))
+    bounds = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted).map(tuple)
+    kw["nilpotency_class"] = draw(st.one_of(st.none(), bounds))
+    try:
+        return PropertyFlags(**kw)
+    except ValueError:
+        assume(False)
+
+
+kernel_orders_st = st.lists(
+    st.one_of(
+        st.integers(2, 500),
+        st.builds(pow, st.sampled_from([2, 3, 5]), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(valid_flags(), kernel_orders_st)
+def test_propagate_closed_form_matches_one_kernel_fold(flags, kernels):
+    assert propagate_properties(flags, *kernels) == oracles.ref_propagate(flags, kernels)
+
+
+def test_propagate_needs_a_kernel_order():
+    with pytest.raises(ValueError, match="^propagate_properties needs at least one kernel order$"):
+        propagate_properties(PropertyFlags())
+
+
+def test_propagate_checks_every_kernel_order():
+    with pytest.raises(ValueError, match="^kernel orders must be >= 2, got 1$"):
+        propagate_properties(PropertyFlags(), 2, 4, 1)
+
+
+def test_props_of_a_tall_tower_match_the_fold():
+    kernels = (2, 4) * 30
+    tower = Tower(Cyclic(8), kernels)
+    flags = props_from_descriptor(tower)
+    assert flags == oracles.ref_propagate(props_from_descriptor(Cyclic(8)), kernels)
+    assert (flags.p_group, flags.nilpotency_class) == (2, (1, 61))
 
 
 def test_props_from_descriptor_cyclic():

@@ -10,11 +10,16 @@ byte for byte.  To rewrite the files from the code on ``PYTHONPATH``:
 
 import contextlib
 import io
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvegroups.cli import main
+
+from conftest import deadline
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,9 +82,79 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert render(CASES[case], tmp_path).encode() == (GOLDEN / case).read_bytes()
 
 
-if __name__ == "__main__":
-    import tempfile
+# The curve documents among the goldens: what ``apply --in`` reads.
+CURVE_DOCUMENTS = sorted(
+    path.name
+    for path in GOLDEN.glob("*.json")
+    if path.name.startswith(("seed_", "apply_", "fin12_")) and path.name != "apply_audit_only.json"
+)
+# one small value of each JSON type
+SMALL_VALUES = (None, True, 0, 1.5, "x", [], {})
 
+
+def _json_type(value):
+    return "bool" if type(value) is bool else type(value).__name__
+
+
+def _locations(node, path=()):
+    """Every (path, value) of a JSON tree, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _locations(child, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden curve document with one key dropped, one key added, or one
+    value swapped for a small value of another JSON type; returns the
+    document and whether it must be refused."""
+    doc = json.loads((GOLDEN / draw(st.sampled_from(CURVE_DOCUMENTS))).read_text())
+    located = list(_locations(doc))
+    edit = draw(st.sampled_from(["drop", "add", "swap"]))
+    if edit == "drop":
+        path = draw(st.sampled_from([p for p, _ in located if p and type(p[-1]) is str]))
+        del _parent(doc, path)[path[-1]]
+        return doc, False
+    if edit == "add":
+        # the reports section is written, never read, so it takes any key
+        objects = [v for p, v in located if isinstance(v, dict) and p[:1] != ("reports",)]
+        target = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(["extra", "irreducibel", "kind ", "Order", "x"]).filter(lambda k: k not in target))
+        target[key] = draw(st.sampled_from(SMALL_VALUES))
+        return doc, True
+    path, value = draw(st.sampled_from(located))
+    new = draw(st.sampled_from([v for v in SMALL_VALUES if _json_type(v) != _json_type(value)]))
+    if not path:
+        return new, False
+    _parent(doc, path)[path[-1]] = new
+    return doc, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_golden_document_is_read_or_refused_by_name(mutation):
+    doc, refused = mutation
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "mutated.json"
+        path.write_text(json.dumps(doc))
+        with deadline(5.0), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["apply", "uludag(1)", "--in", str(path)])
+    assert code in ((2,) if refused else (0, 2)), stderr.getvalue()
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error: bad document: ")
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+
+
+if __name__ == "__main__":
     for case, steps in CASES.items():
         with tempfile.TemporaryDirectory() as workdir:
             (GOLDEN / case).write_bytes(render(steps, Path(workdir)).encode())
