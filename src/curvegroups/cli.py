@@ -14,8 +14,8 @@ import functools
 import sys
 
 from . import documents
+from .constructions import _int_list, audit_self_intersection, parse_spec
 from .constructions import apply as apply_construction
-from .constructions import audit_self_intersection, parse_spec
 from .curves import custom_seed, seed_generic_lines, seed_pencil, seed_smooth
 from .extensions import PropertyFlags, parse_descriptor
 from .meridians import replay, trace_lines
@@ -63,11 +63,14 @@ def _parse_assertions(items) -> PropertyFlags | None:
         name, _, value = item.partition("=")
         name = name.strip()
         value = value.strip().lower()
+        at = f"--assertion {item!r}"
+        if name not in documents._PROPS_KEYS[1]:  # the keys a document's props may hold
+            raise CommandError(f"{at}: unknown property {name!r}")
         if name == "p_group":
-            kw[name] = int(value)
+            kw[name] = documents.decode_int(value, at)
         elif name == "nilpotency_class":
             lo, _, hi = value.partition(":")
-            kw[name] = (int(lo), int(hi or lo))
+            kw[name] = (documents.decode_int(lo, at), documents.decode_int(hi or lo, at))
         elif value in _TRUTHY:
             kw[name] = _TRUTHY[value]
         else:
@@ -94,7 +97,7 @@ def _cmd_seed(args) -> int:
     else:  # custom
         if not args.degrees or args.group is None:
             raise CommandError("seed custom requires --degrees and --group")
-        degrees = tuple(int(tok) for tok in args.degrees.split(","))
+        degrees = _int_list(args.degrees, f"--degrees {args.degrees!r}")
         group = parse_descriptor(args.group)
         sings = multiset(parse_type(t) for t in args.singularity or [])
         curve = custom_seed(

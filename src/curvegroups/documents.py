@@ -54,8 +54,7 @@ def decode_int(value, path: str) -> int:
             return int(value)
         except ValueError:
             pass
-    shown = json.dumps(value) if type(value) is str else _got(value)
-    raise ValueError(f"{path}: expected an integer or decimal string, got {shown}")
+    raise ValueError(f"{path}: expected an integer or decimal string, got {_shown(value)}")
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
@@ -65,6 +64,25 @@ def _got(value) -> str:
     """A JSON value as an error message names it: its kind for objects,
     arrays and strings, its JSON text for other scalars."""
     return _JSON_TYPES.get(type(value)) or json.dumps(value)
+
+
+def _shown(value) -> str:
+    """Like :func:`_got`, but a string is shown as its JSON text."""
+    return json.dumps(value) if type(value) is str else _got(value)
+
+
+def _at(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises reported at
+    ``path``.  The reader calls every constructor and parser through it."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parsed(parse, text, path: str):
+    """``parse(text)`` once ``text`` is a JSON string, errors reported at ``path``."""
+    return _at(path, parse, _expect(text, str, path))
 
 
 def _expect(value, kind: type, path: str):
@@ -108,6 +126,7 @@ _NODE_KEYS = {
     "tower": _keys("kind base kernels"),
 }
 _ANY_NODE_KEYS = _keys("kind", "order rank presentation parts base kernels")
+_ATOMS = {"cyclic": Cyclic, "free": Free, "free-abelian": FreeAbelian}
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -121,9 +140,11 @@ def _presentation_from_json(data, path: str) -> Presentation:
     _fields(data, path, _PRESENTATION_KEYS)
     gens = _expect(data["generators"], list, f"{path}.generators")
     rels = _expect(data["relators"], list, f"{path}.relators")
-    return Presentation(
+    return _at(
+        path,
+        Presentation,
         tuple(_expect(g, str, f"{path}.generators[{i}]") for i, g in enumerate(gens)),
-        tuple(Word.parse(_expect(r, str, f"{path}.relators[{i}]")) for i, r in enumerate(rels)),
+        tuple(_parsed(Word.parse, r, f"{path}.relators[{i}]") for i, r in enumerate(rels)),
     )
 
 
@@ -145,18 +166,16 @@ def _group_tree(g: GroupDescriptor) -> dict:
 def _group_from_tree(data, path: str) -> GroupDescriptor:
     kind = _fields(data, path, _ANY_NODE_KEYS)["kind"]
     if type(kind) is not str or kind not in _NODE_KEYS:
-        shown = json.dumps(kind) if type(kind) is str else _got(kind)
-        raise ValueError(f"{path}.kind: unknown group kind {shown}")
+        raise ValueError(f"{path}.kind: unknown group kind {_shown(kind)}")
     _fields(data, path, _NODE_KEYS[kind])
-    if kind == "cyclic":
-        return Cyclic(decode_int(data["order"], f"{path}.order"))
-    if kind == "free":
-        return Free(decode_int(data["rank"], f"{path}.rank"))
-    if kind == "free-abelian":
-        return FreeAbelian(decode_int(data["rank"], f"{path}.rank"))
+    if kind in _ATOMS:
+        field = "order" if kind == "cyclic" else "rank"
+        return _at(f"{path}.{field}", _ATOMS[kind], decode_int(data[field], f"{path}.{field}"))
     if kind == "finite":
         pres = data.get("presentation")
-        return FiniteTagged(
+        return _at(
+            f"{path}.order",
+            FiniteTagged,
             decode_int(data["order"], f"{path}.order"),
             None if pres is None else _presentation_from_json(pres, f"{path}.presentation"),
         )
@@ -166,7 +185,9 @@ def _group_from_tree(data, path: str) -> GroupDescriptor:
             raise ValueError(f"{path}.parts: a direct sum needs at least two parts")
         return direct_sum(*(_group_from_tree(p, f"{path}.parts[{i}]") for i, p in enumerate(parts)))
     kernels = _expect(data["kernels"], list, f"{path}.kernels")
-    return Tower(
+    return _at(
+        f"{path}.kernels",
+        Tower,
         _group_from_tree(data["base"], f"{path}.base"),
         tuple(decode_int(n, f"{path}.kernels[{i}]") for i, n in enumerate(kernels)),
     )
@@ -180,7 +201,7 @@ def group_to_json(g: GroupDescriptor) -> dict:
 def _group_from_json(data, path: str) -> GroupDescriptor:
     if "tree" in _expect(data, dict, path):  # lossless; "form" is then only for display
         return _group_from_tree(_fields(data, path, _GROUP_TREE_KEYS)["tree"], f"{path}.tree")
-    return parse_descriptor(_expect(_fields(data, path, _GROUP_FORM_KEYS)["form"], str, f"{path}.form"))
+    return _parsed(parse_descriptor, _fields(data, path, _GROUP_FORM_KEYS)["form"], f"{path}.form")
 
 
 def props_to_json(p: PropertyFlags) -> dict:
@@ -200,10 +221,10 @@ def props_from_json(data: dict, path: str) -> PropertyFlags:
     if cls is not None:
         if len(_expect(cls, list, f"{path}.nilpotency_class")) != 2:
             raise ValueError(f"{path}.nilpotency_class: expected [lo, hi], got {json.dumps(cls)}")
-        kw["nilpotency_class"] = tuple(cls)
+        kw["nilpotency_class"] = tuple(decode_int(n, f"{path}.nilpotency_class[{i}]") for i, n in enumerate(cls))
     if kw.get("p_group") is not None:
         kw["p_group"] = decode_int(kw["p_group"], f"{path}.p_group")
-    return PropertyFlags(**kw)
+    return _at(path, PropertyFlags, **kw)
 
 
 def curve_to_json(c: CurveDatum) -> dict:
@@ -226,9 +247,11 @@ def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
     tag = data.get("family_tag")
     if tag is not None and type(tag) is not str:
         raise ValueError(f"{path}.family_tag: expected a string or null, got {_got(tag)}")
-    curve = CurveDatum(
+    curve = _at(
+        path,
+        CurveDatum,
         component_degrees=tuple(decode_int(d, f"{path}.component_degrees[{i}]") for i, d in enumerate(degrees)),
-        singularities=multiset(parse_type(t) for t in types),
+        singularities=multiset(_parsed(parse_type, t, f"{path}.singularities[{i}]") for i, t in enumerate(types)),
         group=_group_from_json(data["group"], f"{path}.group"),
         props=props_from_json(data["props"], f"{path}.props"),
         family_tag=tag,
@@ -236,7 +259,7 @@ def curve_from_json(data: dict, path: str = "curve") -> CurveDatum:
     )
     declared = decode_int(data["degree"], f"{path}.degree")
     if declared != curve.degree:
-        raise ValueError(f"document degree {declared} does not match component degrees")
+        raise ValueError(f"{path}.degree: expected {curve.degree}, the sum of component_degrees, got {declared}")
     irreducible = data.get("irreducible", curve.irreducible)
     if irreducible is not curve.irreducible:
         raise ValueError(f"{path}.irreducible: expected {_got(curve.irreducible)}, got {_got(irreducible)}")
@@ -304,8 +327,9 @@ def parse_document(text: str) -> tuple[CurveDatum, dict]:
         data = _expect(json.loads(text), dict, "document")
         if "schema_version" not in data:
             raise ValueError("document is missing schema_version")
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {data['schema_version']!r}")
+        version = data["schema_version"]
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"document.schema_version: expected {_shown(SCHEMA_VERSION)}, got {_shown(version)}")
         _fields(data, "document", _DOCUMENT_KEYS)
         return curve_from_json(data["curve"]), data.get("reports", {})
     except RecursionError:

@@ -1,10 +1,11 @@
 """Free-group words, finite presentations, and integer Smith normal form.
 
-Words are sequences of signed generator letters; equality is equality of
-freely reduced forms.  Presentations support quotienting by extra relators
-and abelianization, which is computed exactly via the Smith normal form of
-the relator exponent matrix.  All arithmetic uses Python's arbitrary
-precision integers; there is no overflow regime.
+Words are stored as runs ``(generator, exponent)``, so ``x^1000000000``
+costs what ``x`` costs; equality is equality of freely reduced forms.
+Presentations support quotienting by extra relators and abelianization,
+which is computed exactly via the Smith normal form of the relator
+exponent matrix.  All arithmetic uses Python's arbitrary precision
+integers; there is no overflow regime.
 """
 
 from __future__ import annotations
@@ -14,28 +15,21 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-Letter = tuple[str, int]
+# a letter is a run whose exponent is +1 or -1
+Letter = Run = tuple[str, int]
 
 _TERM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-def _validated_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out = []
-    for name, sign in letters:
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"generator name must be a nonempty string, got {name!r}")
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        out.append((name, sign))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A word in a free group: an ordered tuple of (generator, sign) letters.
+    """A word in a free group, stored as runs ``(generator, exponent)``.
 
-    Stored letters need not be reduced; two words compare equal when their
-    freely reduced forms coincide.
+    ``Word(letters)`` builds it from ``(generator, +1 or -1)`` letters.  No
+    exponent is zero, and neighbouring runs differ in generator or in
+    sign, so ``x^1000000000`` is one run.  Stored runs need not be reduced
+    (``a a^-1`` is two runs); two words compare equal when their freely
+    reduced forms coincide.
 
     >>> Word.parse("a b b^-1 a") == Word.parse("a^2")
     True
@@ -43,66 +37,82 @@ class Word:
     'a^2 b^-1'
     """
 
-    letters: tuple[Letter, ...] = ()
+    runs: tuple[Run, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _validated_letters(self.letters))
+    def __init__(self, letters: Iterable[Letter] = ()):
+        letters = tuple(letters)
+        for name, sign in letters:
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"generator name must be a nonempty string, got {name!r}")
+            if type(sign) is not int or sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "runs", _of_runs(letters).runs)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        letters: list[Letter] = []
+        runs = []
         for term in text.split():
             m = _TERM_RE.match(term)
             if m is None:
                 raise ValueError(f"cannot parse word term {term!r}")
-            name, exp = m.group(1), int(m.group(2) or 1)
-            sign = 1 if exp >= 0 else -1
-            letters.extend((name, sign) for _ in range(abs(exp)))
-        return cls(tuple(letters))
+            runs.append((m.group(1), int(m.group(2) or 1)))
+        return _of_runs(runs)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The expanded view: one ``(generator, +1 or -1)`` letter per power."""
+        return tuple((g, 1 if e > 0 else -1) for g, e in self.runs for _ in range(abs(e)))
 
     def __str__(self) -> str:
-        parts = []
-        i = 0
-        while i < len(self.letters):
-            name, sign = self.letters[i]
-            j = i
-            while j < len(self.letters) and self.letters[j] == (name, sign):
-                j += 1
-            exp = sign * (j - i)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
-        return " ".join(parts)
+        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.runs)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _of_runs(self.runs + other.runs)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _of_runs((g, -e) for g, e in reversed(self.runs))
 
     def __pow__(self, n: int) -> "Word":
         _require_ints("exponents", (n,))
+        if len(self.runs) == 1:
+            return _of_runs(((self.runs[0][0], self.runs[0][1] * n),))
         base = self if n >= 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        return _of_runs(base.runs * abs(n))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.runs)
 
     def __bool__(self) -> bool:
-        return bool(free_reduce(self).letters)
+        return bool(free_reduce(self).runs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return free_reduce(self).letters == free_reduce(other).letters
+        return free_reduce(self).runs == free_reduce(other).runs
 
     def __hash__(self) -> int:
-        return hash(free_reduce(self).letters)
+        return hash(free_reduce(self).runs)
 
     def generators(self) -> set[str]:
-        return {g for g, _ in self.letters}
+        return {g for g, _ in self.runs}
 
     def exponent_sum(self, generator: str) -> int:
-        return sum(s for g, s in self.letters if g == generator)
+        return sum(e for g, e in self.runs if g == generator)
+
+
+def _of_runs(runs: Iterable[Run]) -> Word:
+    """The word of ``runs``, trusted to hold names and integers: zero
+    exponents are dropped and neighbours of one generator and one sign
+    joined."""
+    out: list[Run] = []
+    for name, exp in runs:
+        if out and out[-1][0] == name and (out[-1][1] > 0) == (exp > 0):
+            out[-1] = (name, out[-1][1] + exp)
+        elif exp:
+            out.append((name, exp))
+    word = object.__new__(Word)
+    object.__setattr__(word, "runs", tuple(out))
+    return word
 
 
 EMPTY_WORD = Word()
@@ -124,13 +134,13 @@ def free_reduce(w: Word) -> Word:
     >>> free_reduce(Word.parse("a a^-1")).letters
     ()
     """
-    stack: list[Letter] = []
-    for name, sign in w.letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((name, sign))
-    return Word(tuple(stack))
+    stack: list[Run] = []
+    for name, exp in w.runs:
+        if stack and stack[-1][0] == name:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((name, exp))
+    return _of_runs(stack)
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ class Presentation:
             unknown = rel.generators() - declared
             if unknown:
                 raise ValueError(f"relator uses undeclared generators {sorted(unknown)}")
-            if rel.letters:
+            if rel.runs:
                 reduced.append(rel)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(reduced))

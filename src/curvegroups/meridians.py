@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .constructions import Schedule
-from .fpgroup import Word, _require_ints, free_reduce, generator
+from .fpgroup import Word, _of_runs, _require_ints, free_reduce, generator
 
 def generator_for_label(label: str) -> str:
     """``P``, ``Pn``, ``Qn``, ``L`` -> ``b``, ``bn``, ``an``, ``a`` (n any decimal
@@ -129,10 +129,9 @@ def replay(spec: Schedule) -> MeridianState:
     """
     labels, raising, lowering = _schedule(spec)
     start = init_state(labels)
-    exceptional = start.exceptional.letters
     counts = dict(raising)
     fibers = tuple(
-        (label, Word(exceptional * counts[label] + word.letters) if label in counts else word)
+        (label, _of_runs(start.exceptional.runs * counts[label] + word.runs) if label in counts else word)
         for label, word in start.fibers
     )
     trace = list(start.trace)

@@ -1,7 +1,8 @@
 """Independent oracles used to validate the library's computations.
 
-These deliberately avoid the algorithms in the package: word reduction by
-repeated scanning, determinants by fraction-free elimination, invariant
+These deliberately avoid the algorithms in the package: words as one
+``(generator, +1 or -1)`` letter per power (read, printed and reduced
+letter by letter), word reduction by repeated scanning, determinants by fraction-free elimination, invariant
 factors by gcds of minors, Zariski lifts by two public ``apply`` calls and
 an asserted flag, Zariski families by lifting along every composition and
 deduplicating, partition counts by Euler's pentagonal
@@ -44,6 +45,47 @@ def naive_reduce(letters):
                 changed = True
                 break
     return tuple(letters)
+
+
+_REF_TERM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?")
+
+
+def ref_parse_letters(text):
+    """The letters of a word text, one per power of every term."""
+    letters = []
+    for term in text.split():
+        m = _REF_TERM_RE.fullmatch(term)
+        if m is None:
+            raise ValueError(f"cannot parse word term {term!r}")
+        exp = int(m.group(2) or 1)
+        letters += [(m.group(1), 1 if exp >= 0 else -1)] * abs(exp)
+    return tuple(letters)
+
+
+def ref_word_text(letters):
+    """Print letters, each maximal run of one letter as ``name^count``."""
+    parts = []
+    i = 0
+    while i < len(letters):
+        name, sign = letters[i]
+        j = i
+        while j < len(letters) and letters[j] == (name, sign):
+            j += 1
+        exp = sign * (j - i)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts)
+
+
+def ref_free_reduce(letters):
+    """Freely reduce letter by letter on a stack."""
+    stack = []
+    for name, sign in letters:
+        if stack and stack[-1] == (name, -sign):
+            stack.pop()
+        else:
+            stack.append((name, sign))
+    return tuple(stack)
 
 
 def bareiss_determinant(matrix):

@@ -73,6 +73,46 @@ def test_seed_custom_rejects_a_composite_p_group(capsys):
     assert err == "error: bad property assertion: p_group must be a prime, got 4\n"
 
 
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--degrees", "2,x"], "bad integer 'x' in --degrees '2,x'"),
+        (["--degrees", ","], "bad integer '' in --degrees ','"),
+        (
+            ["--degrees", "4", "--assertion", "p_group=x"],
+            '--assertion \'p_group=x\': expected an integer or decimal string, got "x"',
+        ),
+        (
+            ["--degrees", "4", "--assertion", "p_group=true"],
+            '--assertion \'p_group=true\': expected an integer or decimal string, got "true"',
+        ),
+        (
+            ["--degrees", "4", "--assertion", "nilpotency_class=a"],
+            '--assertion \'nilpotency_class=a\': expected an integer or decimal string, got "a"',
+        ),
+        (
+            ["--degrees", "4", "--assertion", "nilpotency_class=1:b"],
+            '--assertion \'nilpotency_class=1:b\': expected an integer or decimal string, got "b"',
+        ),
+        (["--degrees", "4", "--assertion", "bogus=true"], "--assertion 'bogus=true': unknown property 'bogus'"),
+    ],
+    ids=[
+        "non-decimal-degree",
+        "empty-degree",
+        "non-decimal-p-group",
+        "boolean-p-group",
+        "non-decimal-nilpotency-class",
+        "non-decimal-nilpotency-class-upper-bound",
+        "unknown-property",
+    ],
+)
+def test_seed_custom_option_text_is_a_named_error(capsys, option, message):
+    code, out, err = run_cli(capsys, "seed", "custom", "--group", "Fin(16)", *option)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_seed_custom_with_assertions(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -147,6 +187,20 @@ def test_apply_with_meridian_table(tmp_path, capsys):
     _, reports = parse_document(out)
     assert reports["meridians"]["fibers"]["P"] == "b"
     assert reports["meridians"]["fibers"]["Q2"] == "b a1 a2^2"
+
+
+def test_apply_writes_a_huge_exponent_relator_back_unchanged(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "seed", "custom", "--degrees", "3", "--group", "Fin(12)")
+    assert code == 0, err
+    doc = json.loads(out)
+    presentation = {"generators": ["x"], "relators": ["x^1000000000"]}
+    doc["curve"]["group"] = {"tree": {"kind": "finite", "order": 12, "presentation": presentation}}
+    path = tmp_path / "fin12.json"
+    path.write_text(json.dumps(doc))
+    with deadline(1.0):
+        code, out, err = run_cli(capsys, "apply", "uludag(1)", "--in", str(path))
+    assert code == 0, err
+    assert json.loads(out)["curve"]["group"]["tree"]["base"]["presentation"] == presentation
 
 
 def test_audit_command(capsys):
@@ -306,11 +360,11 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda curve: curve.update(singularities=[5]), "singularity types must be strings, got 5"),
+        (lambda curve: curve.update(singularities=[5]), "curve.singularities[0]: expected a string, got 5"),
         (lambda curve: curve["props"].update(x=[]), "curve.props.x: unknown key"),
         (
             lambda curve: curve["props"].update(nilpotency_class=[0.5, 1.5]),
-            "nilpotency class bounds must be integers, got 0.5",
+            "curve.props.nilpotency_class[0]: expected an integer or decimal string, got 0.5",
         ),
         (lambda curve: curve.update(group=None), "curve.group: expected an object, got null"),
         (lambda curve: curve.update(props=[]), "curve.props: expected an object, got an array"),
@@ -398,6 +452,51 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
             lambda curve: curve["props"].update(p_group=True),
             "curve.props.p_group: expected an integer or decimal string, got true",
         ),
+        (lambda curve: curve["props"].update(p_group=4), "curve.props: p_group must be a prime, got 4"),
+        (
+            lambda curve: curve["props"].update(nilpotency_class=[True, 2]),
+            "curve.props.nilpotency_class[0]: expected an integer or decimal string, got true",
+        ),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "cyclic", "order": 0}}),
+            "curve.group.tree.order: cyclic orders must be >= 1, got 0",
+        ),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "free-abelian", "rank": -1}}),
+            "curve.group.tree.rank: free ranks must be >= 0, got -1",
+        ),
+        (
+            lambda curve: curve.update(group={"tree": {"kind": "finite", "order": 0, "presentation": None}}),
+            "curve.group.tree.order: finite group orders must be >= 1, got 0",
+        ),
+        (
+            lambda curve: curve.update(
+                group={"tree": {"kind": "tower", "base": {"kind": "cyclic", "order": 2}, "kernels": [1]}}
+            ),
+            "curve.group.tree.kernels: tower kernel orders must be >= 2, got 1",
+        ),
+        (lambda curve: curve.update(degree=5), "curve.degree: expected 2, the sum of component_degrees, got 5"),
+        (lambda curve: curve.update(component_degrees=[0], degree=0), "curve: component degrees must be >= 1, got 0"),
+        (
+            lambda curve: curve.update(
+                group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": ["x"], "relators": ["x^"]}}}
+            ),
+            "curve.group.tree.presentation.relators[0]: cannot parse word term 'x^'",
+        ),
+        (
+            lambda curve: curve.update(
+                group={"tree": {"kind": "finite", "order": 4, "presentation": {"generators": ["x"], "relators": ["y^2"]}}}
+            ),
+            "curve.group.tree.presentation: relator uses undeclared generators ['y']",
+        ),
+        (
+            lambda curve: curve.update(singularities=["[2"]),
+            "curve.singularities[0]: bad singularity type at position 2: expected ']' in '[2'",
+        ),
+        (
+            lambda curve: curve.update(group={"form": "Z/"}),
+            "curve.group.form: cannot parse group descriptor 'Z/' at position 1",
+        ),
     ],
     ids=[
         "non-string-type",
@@ -444,6 +543,18 @@ def test_deeply_nested_document_is_a_named_error(tmp_path, capsys):
         "non-decimal-degree",
         "float-component-degree",
         "boolean-p-group",
+        "composite-p-group",
+        "boolean-nilpotency-class-bound",
+        "zero-cyclic-order",
+        "negative-free-abelian-rank",
+        "zero-finite-order",
+        "tower-kernel-below-two",
+        "degree-not-the-sum",
+        "zero-component-degree",
+        "unparsable-relator",
+        "relator-on-undeclared-generator",
+        "unparsable-singularity-type",
+        "unparsable-group-form",
     ],
 )
 def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
@@ -464,7 +575,11 @@ def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
         (lambda doc: [doc], "document: expected an object, got an array"),
         (lambda doc: doc.update(extra=1), "document.extra: unknown key"),
         (lambda doc: {"schema_version": "1"}, "document.curve: missing key"),
-        (lambda doc: {"schema_version": "2", "extra": 1}, "unsupported schema_version '2'"),
+        (
+            lambda doc: {"schema_version": "2", "extra": 1},
+            'document.schema_version: expected "1", got "2"',
+        ),
+        (lambda doc: {"schema_version": 1}, 'document.schema_version: expected "1", got 1'),
         (lambda doc: {"curve": doc["curve"]}, "document is missing schema_version"),
     ],
     ids=[
@@ -473,6 +588,7 @@ def test_hand_edited_document_is_a_named_error(tmp_path, capsys, edit, message):
         "unknown-document-key",
         "document-without-curve",
         "schema-version-checked-first",
+        "integer-schema-version",
         "document-without-schema-version",
     ],
 )

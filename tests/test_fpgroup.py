@@ -20,7 +20,15 @@ from curvegroups.fpgroup import (
     smith_normal_form,
 )
 
-from oracles import bareiss_determinant, invariant_factors_by_minors, naive_reduce
+from conftest import deadline
+from oracles import (
+    bareiss_determinant,
+    invariant_factors_by_minors,
+    naive_reduce,
+    ref_free_reduce,
+    ref_parse_letters,
+    ref_word_text,
+)
 
 letters_st = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
@@ -97,6 +105,85 @@ def test_word_exponent_sum():
     assert w.exponent_sum("a") == 2
     assert w.exponent_sum("b") == 1
     assert w.exponent_sum("c") == 0
+
+
+# ---------------------------------------------------------------------------
+# the run form against the letter-by-letter reference
+
+# word texts of `name` and `name^int` terms, zero and repeated exponents included
+texts_st = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "x1"]), st.one_of(st.none(), st.integers(-5, 5))),
+    max_size=10,
+).map(lambda terms: " ".join(g if e is None else f"{g}^{e}" for g, e in terms))
+
+any_letters_st = st.one_of(letters_st, texts_st.map(ref_parse_letters))
+
+
+def assert_matches_letters(w, letters):
+    assert w.letters == letters
+    assert str(w) == ref_word_text(letters)
+    assert len(w) == len(letters)
+    for g in ("a", "b", "c", "x1"):
+        assert w.exponent_sum(g) == sum(s for h, s in letters if h == g)
+    assert free_reduce(w).letters == ref_free_reduce(letters) == naive_reduce(letters)
+    assert bool(w) == bool(ref_free_reduce(letters))
+    # one representation: no zero exponent, neighbours differ in generator or sign
+    assert all(e for _, e in w.runs)
+    assert all(g != h or (e > 0) != (f > 0) for (g, e), (h, f) in zip(w.runs, w.runs[1:]))
+
+
+@given(any_letters_st)
+def test_word_from_letters_matches_letter_reference(letters):
+    assert_matches_letters(Word(letters), letters)
+
+
+@given(texts_st)
+def test_word_parse_matches_letter_reference(text):
+    letters = ref_parse_letters(text)
+    w = Word.parse(text)
+    assert_matches_letters(w, letters)
+    assert w.runs == Word(letters).runs
+
+
+@given(any_letters_st, any_letters_st)
+def test_word_equality_hash_and_product_match_letter_reference(u, v):
+    a, b = Word(u), Word(v)
+    assert (a == b) == (ref_free_reduce(u) == ref_free_reduce(v))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert_matches_letters(a * b, u + v)
+    assert_matches_letters(a.inverse(), tuple((g, -s) for g, s in reversed(u)))
+
+
+@given(any_letters_st, st.integers(-4, 4))
+def test_word_power_matches_repeated_letters(letters, n):
+    inverse = tuple((g, -s) for g, s in reversed(letters))
+    assert_matches_letters(Word(letters) ** n, letters * n if n >= 0 else inverse * -n)
+
+
+def test_word_keeps_runs_unreduced():
+    assert str(Word.parse("a a^-1")) == "a a^-1"
+    assert str(Word.parse("a^2 a^3 a^0 b^-1 b^-1")) == "a^5 b^-2"
+    assert Word.parse("a^2 a^-1").runs == (("a", 2), ("a", -1))
+    assert Word.parse("a^0").runs == ()
+
+
+def test_word_with_a_huge_exponent_is_one_run():
+    with deadline(1.0):
+        w = Word.parse("x^1000000000")
+        assert w.runs == (("x", 10**9),)
+        assert str(w) == "x^1000000000"
+        assert len(w) == 10**9
+        assert w.exponent_sum("x") == 10**9
+        assert str(w**-3) == "x^-3000000000"
+        assert str(free_reduce(w * Word.parse("x^-999999999 y"))) == "x y"
+        assert w == Word.parse("x^999999999 x") != Word.parse("x^999999999")
+
+
+def test_abelianization_of_a_huge_exponent_relator():
+    with deadline(1.0):
+        p = Presentation(("x",), (Word.parse("x^1000000000"),))
+        assert abelianization(p) == AbelianInvariants(0, (10**9,))
 
 
 # ---------------------------------------------------------------------------
